@@ -54,6 +54,10 @@ class BalancingResult:
     clamped: bool = False
 
 
+def _imbalance(r: np.ndarray, c: np.ndarray) -> float:
+    return float(np.max(np.abs(r - c)) / (1.0 + np.max(np.abs(r) + np.abs(c))))
+
+
 def imbalance(A) -> float:
     """Normalized worst mismatch between off-diagonal row and column sums.
 
@@ -63,15 +67,7 @@ def imbalance(A) -> float:
     M = _as_square(A)
     off = M.copy()
     np.fill_diagonal(off, 0.0)
-    r = off.sum(axis=1)
-    c = off.sum(axis=0)
-    return float(np.max(np.abs(r - c)) / (1.0 + np.max(np.abs(r) + np.abs(c))))
-
-
-def _imbalance_off(off: np.ndarray) -> float:
-    r = off.sum(axis=1)
-    c = off.sum(axis=0)
-    return float(np.max(np.abs(r - c)) / (1.0 + np.max(np.abs(r) + np.abs(c))))
+    return _imbalance(off.sum(axis=1), off.sum(axis=0))
 
 
 def _balance_block(M: np.ndarray, tol: float, max_sweeps: int,
@@ -86,7 +82,9 @@ def _balance_block(M: np.ndarray, tol: float, max_sweeps: int,
     clamped = False
     residual = np.inf
     for sweep in range(max_sweeps):
-        residual = _imbalance_off(off * (d[None, :] / d[:, None]))
+        # Row and column sums of D^{-1} off D from two mat-vecs; forming the
+        # scaled matrix would copy it on every sweep.
+        residual = _imbalance((off @ d) / d, (off.T @ (1.0 / d)) * d)
         if residual <= tol:
             return d, sweep, clamped
         for i in range(n):

@@ -273,7 +273,8 @@ def _cmd_fhn_gains(args):
         _write_json(args.output, payload)
     result = dict(payload)
     result["output"] = args.output
-    return ({"config": args.config}, {"eta": config.eta}, result, 0)
+    return ({"config": args.config}, {"eta": config.eta}, result,
+            0 if cert.passed else 2)
 
 
 _HANDLERS = {

@@ -21,9 +21,6 @@ from netcontract.balancing import tridiagonal_bands
 from netcontract.metzler import DEFAULT_TOL, _as_square, matrix_measure, norm_kind
 from netcontract.stabilization import minimal_effort_stabilize
 
-# Gram power iteration converges at the squared singular-value ratio; a
-# generous cap keeps near-tied spectra accurate (typical case needs < 100).
-SIGMA_MAX_ITER = 10_000
 # Corner enumeration of a box is exponential in the dimension; beyond this
 # many corners only the random samples and the center are used.
 MAX_CORNERS = 4096
@@ -126,27 +123,7 @@ def _vector_norm(x: np.ndarray, kind: str) -> np.ndarray:
 _DUAL = {"one": "inf", "inf": "one", "two": "two"}
 
 
-def _sigma_max(M: np.ndarray, tol: float = DEFAULT_TOL,
-               max_iter: int = SIGMA_MAX_ITER) -> float:
-    """Largest singular value by power iteration on the Gram matrix."""
-    G = M.T @ M
-    n = G.shape[0]
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        Gv = G @ v
-        lam = float(v @ Gv)
-        if np.linalg.norm(Gv - lam * v) <= tol * (1.0 + lam):
-            break
-        nrm = float(np.linalg.norm(Gv))
-        if nrm == 0.0:
-            return 0.0
-        v = Gv / nrm
-    return float(np.sqrt(max(lam, 0.0)))
-
-
-def operator_norm(M, out_kind="two", in_kind=None, tol: float = DEFAULT_TOL) -> float:
+def operator_norm(M, out_kind="two", in_kind=None) -> float:
     """Induced norm of a (possibly rectangular) matrix between 1/2/inf spaces.
 
     Exact formulas: domain norm 1 -> max over columns of the codomain norm;
@@ -162,7 +139,7 @@ def operator_norm(M, out_kind="two", in_kind=None, tol: float = DEFAULT_TOL) -> 
     if out_kind == "inf":
         return float(np.max(_vector_norm(M, _DUAL[in_kind])))
     if in_kind == "two" and out_kind == "two":
-        return _sigma_max(M, tol=tol)
+        return float(np.linalg.norm(M, 2))
     raise ValueError(
         f"no tractable exact formula for the {in_kind} -> {out_kind} induced norm")
 
@@ -176,7 +153,7 @@ def _scaled_block(M: np.ndarray, row_norm: BlockNorm, col_norm: BlockNorm) -> np
     return out
 
 
-def block_bound_matrix(A, partition: BlockPartition, tol: float = DEFAULT_TOL) -> np.ndarray:
+def block_bound_matrix(A, partition: BlockPartition) -> np.ndarray:
     """Metzler majorant of a matrix over a block partition.
 
     B[i][i] is the measure of the i-th diagonal block in the block's own
@@ -196,11 +173,11 @@ def block_bound_matrix(A, partition: BlockPartition, tol: float = DEFAULT_TOL) -
         for j in range(m):
             blk = M[sl[i], sl[j]]
             if i == j:
-                B[i, j] = matrix_measure(blk, ni.kind, scaling=ni.scaling, tol=tol)
+                B[i, j] = matrix_measure(blk, ni.kind, scaling=ni.scaling)
             else:
                 nj = partition.block_norms[j]
                 B[i, j] = operator_norm(_scaled_block(blk, ni, nj),
-                                        out_kind=ni.kind, in_kind=nj.kind, tol=tol)
+                                        out_kind=ni.kind, in_kind=nj.kind)
     return B
 
 

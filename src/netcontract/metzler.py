@@ -281,42 +281,15 @@ def norm_kind(norm) -> str:
     return _NORM_ALIASES[key]
 
 
-def dominant_symmetric_eigenvalue(S, tol: float = DEFAULT_TOL,
-                                  max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest eigenvalue of a symmetric matrix by shifted power iteration.
-
-    The shift 1 + n*max|s_ij| makes the iterate positive semidefinite, so the
-    dominant eigenvalue in magnitude is the one sought.  The start vector is
-    drawn from a fixed-seed generator: deterministic, and (unlike the all-ones
-    vector) never orthogonal to the top eigenspace in practice.  If the cap is
-    hit the current Rayleigh quotient (a lower bound) is returned.
-    """
-    S = _as_square(S)
-    n = S.shape[0]
-    if n == 1:
-        return float(S[0, 0])
-    shift = 1.0 + n * float(np.max(np.abs(S)))
-    G = S + shift * np.eye(n)
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        Gv = G @ v
-        lam = float(v @ Gv)
-        if np.linalg.norm(Gv - lam * v) <= tol:
-            break
-        v = Gv / np.linalg.norm(Gv)
-    return lam - shift
-
-
-def matrix_measure(A, norm="two", scaling=None, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> float:
+def matrix_measure(A, norm="two", scaling=None) -> float:
     """Matrix measure (logarithmic norm) of a square matrix.
 
     mu_1 is the worst column (diagonal entry plus off-diagonal absolute
     column sum), mu_inf the row analogue, mu_2 the largest eigenvalue of the
-    symmetric part.  A positive diagonal scaling t computes the measure of
-    T A T^{-1} with T = diag(t).
+    symmetric part, computed exactly by ``eigvalsh`` (an iterate would only
+    bound it from below, which is the unsafe side for a certificate).  A
+    positive diagonal scaling t computes the measure of T A T^{-1} with
+    T = diag(t).
     """
     M = _as_square(A)
     if scaling is not None:
@@ -333,4 +306,4 @@ def matrix_measure(A, norm="two", scaling=None, tol: float = DEFAULT_TOL,
         return float(np.max(d + np.abs(M).sum(axis=0) - np.abs(d)))
     if kind == "inf":
         return float(np.max(d + np.abs(M).sum(axis=1) - np.abs(d)))
-    return dominant_symmetric_eigenvalue((M + M.T) / 2.0, tol=tol, max_iter=max_iter)
+    return float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])

@@ -165,6 +165,15 @@ class TestFhnCommands:
                         [6.025, 6.05, 6.05, 6.05, 6.075, 6.05], atol=1e-12)
         assert manifest["result"]["certificate"]["passed"] is True
 
+    def test_gains_with_failed_certificate_exit_2(self, capsys, tmp_path):
+        cfg = json.loads(FHN6.read_text())
+        cfg["gains"] = [5.0] * 6
+        bad = tmp_path / "low_gains.json"
+        bad.write_text(json.dumps(cfg))
+        code, manifest, _ = run(capsys, "fhn", "gains", "--config", str(bad))
+        assert code == 2  # valid run, failed certificate
+        assert manifest["result"]["certificate"]["passed"] is False
+
     def test_certify_pass_and_fail(self, capsys, tmp_path):
         code, manifest, _ = run(capsys, "fhn", "certify", "--config", str(FHN6))
         assert code == 0 and manifest["result"]["passed"] is True

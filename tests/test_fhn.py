@@ -45,6 +45,13 @@ def six_config(**overrides):
     return FhnConfig(adjacency=SIX_RING, **overrides)
 
 
+def ring_adjacency(n):
+    adj = np.zeros((n, n))
+    i = np.arange(n)
+    adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
+    return adj
+
+
 class TestLaplacian:
     def test_two_node_exchange(self):
         assert np.array_equal(laplacian([[0, 1], [1, 0]]),
@@ -120,6 +127,22 @@ class TestCertify:
         by_name = {c.name: c for c in cert.checks}
         assert not by_name["scaled_measure_le_minus_eta"].passed
         assert cert.mu_scaled > 0  # uncontrolled voltage block expands
+
+    def test_long_ring_certifies_exact_rate(self):
+        # A 100-ring's symmetric part has near-tied top eigenvalues; mu_2 must
+        # be exact, not an iterate that under-estimates it.
+        adj = ring_adjacency(100)
+        gains = fhn_gains(laplacian(adj), 6.0, 0.05, 0.05)
+        cert = certify(FhnConfig(adjacency=adj, gains=gains))
+        assert cert.passed
+        assert_allclose(cert.eta_certified, 0.05, rtol=0, atol=1e-12)
+
+    def test_long_ring_detuned_gains_fail(self):
+        # 2e-5 below the minimum gains, mu_2 = -0.04998 > -eta.
+        adj = ring_adjacency(100)
+        gains = fhn_gains(laplacian(adj), 6.0, 0.05, 0.05) - 2e-5
+        cert = certify(FhnConfig(adjacency=adj, gains=gains))
+        assert cert.passed is False
 
     def test_eta_above_recovery_ratio_fails(self):
         cert = certify(six_config(eta=0.5))  # b/c = 1/3 < 0.5

@@ -31,7 +31,7 @@ class TestOperatorNorm:
             M = rng.uniform(-3, 3, size=shape)
             assert_allclose(operator_norm(M, "one", "one"), np.linalg.norm(M, 1), atol=1e-12)
             assert_allclose(operator_norm(M, "inf", "inf"), np.linalg.norm(M, np.inf), atol=1e-12)
-            assert_allclose(operator_norm(M, "two", "two"), np.linalg.norm(M, 2), atol=1e-8)
+            assert_allclose(operator_norm(M, "two", "two"), np.linalg.norm(M, 2), atol=1e-12)
 
     def test_mixed_pairs(self):
         M = np.array([[3.0, 0.0], [0.0, 4.0]])

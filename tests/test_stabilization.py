@@ -48,6 +48,9 @@ class TestFeasibilityAndResiduals:
             target = float(rng.uniform(-2.0, 0.5))
             res = minimal_effort_stabilize(A, w, target)
             assert abs(res.achieved - target) <= 1e-8 * (1 + abs(target))
+            # achieved is an upper bound on the closed-loop abscissa
+            alpha = np.max(np.linalg.eigvals(A - np.diag(res.ell_star)).real)
+            assert res.achieved >= alpha - 1e-12 * (1 + abs(target))
             assert res.eigen_residual <= 1e-8
             assert res.feasibility_residual <= 1e-8
 
