@@ -20,9 +20,11 @@ from netcontract.metzler import (
     DEFAULT_TOL,
     IRREDUCIBLE,
     STRUCTURAL_ZERO,
+    Classification,
     _as_square,
     _metzler_classified,
     _off_diagonal_min,
+    _positive_vector,
 )
 
 MAX_SWEEPS = 100_000
@@ -70,14 +72,12 @@ def imbalance(A) -> float:
     return _imbalance(off.sum(axis=1), off.sum(axis=0))
 
 
-def _balance_block(M: np.ndarray, tol: float, max_sweeps: int,
+def _balance_block(off: np.ndarray, tol: float, max_sweeps: int,
                    d0: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    n = M.shape[0]
+    n = off.shape[0]
     if n == 1:
         return np.ones(1), 0, False
-    off = M.copy()
-    np.fill_diagonal(off, 0.0)
-    d = np.asarray(d0, dtype=float).copy()
+    d = d0.copy()
     lo, hi = SCALING_CLAMP
     clamped = False
     residual = np.inf
@@ -102,6 +102,27 @@ def _balance_block(M: np.ndarray, tol: float, max_sweeps: int,
         f"(current imbalance {residual:.3e})", residual)
 
 
+def _balance(off: np.ndarray, cls: Classification, tol: float, max_sweeps: int,
+             d0) -> tuple[np.ndarray, int, bool]:
+    """Balancing scaling of a zero-diagonal irreducible or completely reducible
+    Metzler matrix: (d, total sweeps, clamped), each block's d led by 1."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = off.shape[0]
+    start = np.ones(n) if d0 is None else _positive_vector(d0, n, "d0")
+    blocks = [slice(None)] if cls.kind == IRREDUCIBLE else [list(b) for b in cls.blocks]
+    d = np.empty(n)
+    iterations = 0
+    clamped = False
+    for block in blocks:
+        sub = off if len(blocks) == 1 else off[np.ix_(block, block)]
+        bd, sweeps, bclamped = _balance_block(sub, tol, max_sweeps, start[block])
+        d[block] = bd / bd[0]
+        iterations += sweeps
+        clamped |= bclamped
+    return d, iterations, clamped
+
+
 def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
             d0=None) -> BalancingResult:
     """Find d > 0 such that D^{-1} A D is balanced (D = diag(d), d[0] = 1).
@@ -113,47 +134,23 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
     ``max_sweeps`` raises BalanceConvergenceError with the last residual.
     """
     M, cls = _metzler_classified(A)
-    n = M.shape[0]
-    if cls.kind == IRREDUCIBLE:
-        blocks = [list(range(n))]
-    elif cls.kind == COMPLETELY_REDUCIBLE:
-        blocks = [list(b) for b in cls.blocks]
-    else:
+    if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
         raise NotBalancableError(
             f"matrix is {cls.kind}: balancing requires an irreducible or "
             "completely reducible Metzler matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if d0 is None:
-        start = np.ones(n)
-    else:
-        start = np.asarray(d0, dtype=float).ravel()
-        if start.shape[0] != n:
-            raise ValueError(f"d0 has length {start.shape[0]}, expected {n}")
-        if np.any(start <= 0):
-            raise ValueError("d0 must be strictly positive")
-    d = np.ones(n)
-    iterations = 0
-    clamped = False
-    for block in blocks:
-        bd, sweeps, bclamped = _balance_block(
-            M[np.ix_(block, block)], tol, max_sweeps, start[block])
-        d[block] = bd / bd[0]
-        iterations += sweeps
-        clamped |= bclamped
-    balanced = M * (d[None, :] / d[:, None])
-    return BalancingResult(d=d, balanced=balanced, iterations=iterations,
-                           residual=imbalance(balanced), clamped=clamped)
+    off = M.copy()
+    np.fill_diagonal(off, 0.0)
+    d, iterations, clamped = _balance(off, cls, tol, max_sweeps, d0)
+    # Scale the off-diagonal part in place, take the residual from its sums,
+    # then restore the diagonal, which the similarity leaves unchanged.
+    off *= d[None, :] / d[:, None]
+    residual = _imbalance(off.sum(axis=1), off.sum(axis=0))
+    np.fill_diagonal(off, np.diag(M))
+    return BalancingResult(d=d, balanced=off, iterations=iterations,
+                           residual=residual, clamped=clamped)
 
 
-def tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray]:
-    """Sub- and super-diagonal of an irreducible tridiagonal Metzler matrix.
-
-    Raises if the matrix has entries outside the three bands, a negative
-    off-diagonal entry, or a zero on the sub/super-diagonal (which would make
-    it reducible).
-    """
-    M = _as_square(A)
+def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
         raise ValueError("not a Metzler matrix: negative off-diagonal entry")
     n = M.shape[0]
@@ -170,25 +167,28 @@ def tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray]:
     return sub, sup
 
 
+def tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray]:
+    """Sub- and super-diagonal of an irreducible tridiagonal Metzler matrix.
+
+    Raises if the matrix has entries outside the three bands, a negative
+    off-diagonal entry, or a zero on the sub/super-diagonal (which would make
+    it reducible).
+    """
+    return _tridiagonal_bands(_as_square(A))
+
+
 def balance_tridiagonal(A) -> np.ndarray:
     """Closed-form balancing scaling for an irreducible tridiagonal Metzler matrix.
 
     d_1 = 1 and d_i = sqrt(prod_{j<i} a_{j+1,j} / a_{j,j+1}); the scaled
     matrix D^{-1} A D is symmetric, hence balanced.
     """
-    M = _as_square(A)
-    sub, sup = tridiagonal_bands(M)
-    if M.shape[0] == 1:
-        return np.ones(1)
+    sub, sup = _tridiagonal_bands(_as_square(A))
     return np.concatenate(([1.0], np.sqrt(np.cumprod(sub / sup))))
 
 
 def potential(A, d) -> float:
     """Balancing potential f(d) = sum_ij a_ij d_j / d_i (d > 0)."""
     M = _as_square(A)
-    dd = np.asarray(d, dtype=float).ravel()
-    if dd.shape[0] != M.shape[0]:
-        raise ValueError(f"d has length {dd.shape[0]}, expected {M.shape[0]}")
-    if np.any(dd <= 0):
-        raise ValueError("d must be strictly positive")
+    dd = _positive_vector(d, M.shape[0], "d")
     return float((M * (dd[None, :] / dd[:, None])).sum())

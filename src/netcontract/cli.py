@@ -147,6 +147,8 @@ def _cmd_stabilize(args):
         "positive_gains": res.positive_gains,
         "eigen_residual": res.eigen_residual,
         "feasibility_residual": res.feasibility_residual,
+        "iterations": res.iterations,
+        "clamped": res.clamped,
     }
     if args.output:
         _write_json(args.output, payload)

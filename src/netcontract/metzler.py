@@ -49,16 +49,29 @@ def _off_diagonal_min(M: np.ndarray) -> float:
     n = M.shape[0]
     if n == 1:
         return 0.0
-    return float(M[~np.eye(n, dtype=bool)].min())
+    # Flattened, the entries after each diagonal entry up to the next one
+    # form the rows of an (n-1) x (n+1) view whose last column is diagonal.
+    return float(M.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].min())
 
 
-def _adjacency(M: np.ndarray) -> list[list[int]]:
-    # Edge j -> i whenever entry (i, j) is structurally positive.  The SCC
-    # partition does not depend on the orientation convention.
-    n = M.shape[0]
+def _positive_vector(v, n: int, name: str) -> np.ndarray:
+    arr = np.asarray(v, dtype=float).ravel()
+    if arr.shape[0] != n:
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
+    if np.any(arr <= 0):
+        raise ValueError(f"{name} must be strictly positive")
+    return arr
+
+
+def _components(M: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Off-diagonal edge mask and the strongly connected components.
+
+    Edge j -> i whenever entry (i, j) is structurally positive.  The SCC
+    partition does not depend on the orientation convention.
+    """
     mask = M > STRUCTURAL_ZERO
     np.fill_diagonal(mask, False)
-    return [np.flatnonzero(mask[:, j]).tolist() for j in range(n)]
+    return mask, _scc([np.flatnonzero(mask[:, j]).tolist() for j in range(M.shape[0])])
 
 
 def _scc(adj: list[list[int]]) -> list[list[int]]:
@@ -140,14 +153,12 @@ def classify(A) -> Classification:
     n = M.shape[0]
     if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
         return Classification(NOT_METZLER)
-    comps = _scc(_adjacency(M))
+    mask, comps = _components(M)
     if len(comps) == 1:
         return Classification(IRREDUCIBLE)
     comp_of = np.empty(n, dtype=int)
     for k, comp in enumerate(comps):
         comp_of[comp] = k
-    mask = M > STRUCTURAL_ZERO
-    np.fill_diagonal(mask, False)
     rows, cols = np.nonzero(mask)
     if np.any(comp_of[rows] != comp_of[cols]):
         return Classification(REDUCIBLE_OTHER)
@@ -163,9 +174,7 @@ class MetzlerMatrix:
     """
 
     def __init__(self, entries):
-        M = np.array(entries, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        M = _as_square(entries).copy()
         if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
             raise ValueError("not a Metzler matrix: negative off-diagonal entry")
         M.setflags(write=False)
@@ -199,28 +208,17 @@ class PerronPair:
     eigenvector: np.ndarray
 
 
-def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronPair:
-    """Spectral abscissa and positive eigenvector of an irreducible Metzler matrix.
-
-    Power iteration on A + rI with r = 1 + max|a_ii|; the shift makes the
-    iteration matrix primitive, so the positive start vector always overlaps
-    the Perron direction.  The returned eigenvector has first entry 1 and
-    satisfies ||A d - alpha d||_inf <= tol * ||d||_inf.
-    """
-    M, cls = _metzler_classified(A)
-    if cls.kind != IRREDUCIBLE:
-        raise NonIrreducibleError(
-            f"perron_pair requires an irreducible Metzler matrix, got {cls.kind}")
+def _perron(M: np.ndarray, tol: float, max_iter: int) -> PerronPair:
+    """Shifted power iteration on a validated irreducible Metzler matrix."""
     n = M.shape[0]
     if n == 1:
         return PerronPair(float(M[0, 0]), np.ones(1))
     shift = 1.0 + float(np.max(np.abs(np.diag(M))))
-    S = M + shift * np.eye(n)
     v = np.full(n, 1.0 / n)
     residual = np.inf
     lam = 0.0
     for _ in range(max_iter):
-        Sv = S @ v
+        Sv = M @ v + shift * v
         lam = float(v @ Sv) / float(v @ v)
         residual = float(np.max(np.abs(Sv - lam * v))) / float(np.max(v))
         if residual <= tol:
@@ -233,6 +231,21 @@ def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -
     return PerronPair(lam - shift, v / v[0])
 
 
+def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronPair:
+    """Spectral abscissa and positive eigenvector of an irreducible Metzler matrix.
+
+    Power iteration on A + rI with r = 1 + max|a_ii|; the shift makes the
+    iteration matrix primitive, so the positive start vector always overlaps
+    the Perron direction.  The returned eigenvector has first entry 1 and
+    satisfies ||A d - alpha d||_inf <= tol * ||d||_inf.
+    """
+    M, cls = _metzler_classified(A)
+    if cls.kind != IRREDUCIBLE:
+        raise NonIrreducibleError(
+            f"perron_pair requires an irreducible Metzler matrix, got {cls.kind}")
+    return _perron(M, tol, max_iter)
+
+
 def spectral_abscissa(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest real part among the eigenvalues of a Metzler matrix.
 
@@ -242,19 +255,9 @@ def spectral_abscissa(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     """
     M, cls = _metzler_classified(A)
     if cls.kind == IRREDUCIBLE:
-        return perron_pair(M, tol=tol, max_iter=max_iter).abscissa
-    if cls.blocks is not None:
-        comps = [list(b) for b in cls.blocks]
-    else:
-        comps = _scc(_adjacency(M))
-    best = -np.inf
-    for comp in comps:
-        if len(comp) == 1:
-            best = max(best, float(M[comp[0], comp[0]]))
-        else:
-            sub = M[np.ix_(comp, comp)]
-            best = max(best, perron_pair(sub, tol=tol, max_iter=max_iter).abscissa)
-    return best
+        return _perron(M, tol, max_iter).abscissa
+    comps = cls.blocks if cls.blocks is not None else _components(M)[1]
+    return max(_perron(M[np.ix_(c, c)], tol, max_iter).abscissa for c in comps)
 
 
 _NORM_ALIASES = {
@@ -293,12 +296,7 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     """
     M = _as_square(A)
     if scaling is not None:
-        t = np.asarray(scaling, dtype=float).ravel()
-        if t.shape[0] != M.shape[0]:
-            raise ValueError(
-                f"scaling has length {t.shape[0]}, expected {M.shape[0]}")
-        if np.any(t <= 0):
-            raise ValueError("scaling must be strictly positive")
+        t = _positive_vector(scaling, M.shape[0], "scaling")
         M = M * (t[:, None] / t[None, :])
     kind = norm_kind(norm)
     d = np.diag(M)

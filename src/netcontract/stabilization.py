@@ -17,14 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netcontract.balancing import MAX_SWEEPS, balance, imbalance
+from netcontract.balancing import MAX_SWEEPS, _balance, _imbalance
 from netcontract.metzler import (
     COMPLETELY_REDUCIBLE,
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     IRREDUCIBLE,
+    Classification,
     NonIrreducibleError,
     _metzler_classified,
-    perron_pair,
+    _perron,
+    _positive_vector,
 )
 
 
@@ -38,6 +41,8 @@ class StabilizationResult:
     positive_gains: bool
     eigen_residual: float
     feasibility_residual: float
+    iterations: int  # Osborne sweeps of the balancing, summed over blocks
+    clamped: bool  # a balancing scaling entry hit SCALING_CLAMP
 
 
 @dataclass
@@ -63,24 +68,18 @@ class OptimalityReport:
         return self.feasible and self.balanced_ok and self.eigen_ok
 
 
-def _positive_vector(v, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).ravel()
-    if arr.shape[0] != n:
-        raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
-    if np.any(arr <= 0):
-        raise ValueError(f"{name} must be strictly positive")
-    return arr
-
-
-def _collatz_wielandt_max(M: np.ndarray, ell: np.ndarray, d: np.ndarray):
-    """Upper bound max_i (C d)_i / d_i on alpha(C), C = M - diag(ell), and C d."""
-    cd = M @ d - ell * d
-    return float(np.max(cd / d)), cd
-
-
-def _stabilization_result(M: np.ndarray, w: np.ndarray, target: float,
-                          ell: np.ndarray, d: np.ndarray) -> StabilizationResult:
-    achieved, cd = _collatz_wielandt_max(M, ell, d)
+def _stabilize(M: np.ndarray, cls: Classification, w, target: float, tol: float,
+               max_sweeps: int, d0) -> StabilizationResult:
+    """Gains from the balancing of diag(w) M, for validated irreducible or
+    completely reducible M; every block is driven to the same target."""
+    w = _positive_vector(w, M.shape[0], "w")
+    off = w[:, None] * M
+    np.fill_diagonal(off, 0.0)
+    d, iterations, clamped = _balance(off, cls, tol, max_sweeps, d0)
+    md = M @ d
+    ell = md / d - target
+    cd = md - ell * d
+    achieved = float(np.max(cd / d))
     return StabilizationResult(
         ell_star=ell,
         d_star=d,
@@ -90,6 +89,8 @@ def _stabilization_result(M: np.ndarray, w: np.ndarray, target: float,
         positive_gains=bool(np.all(ell > 0)),
         eigen_residual=float(np.max(np.abs(cd - target * d)) / np.max(d)),
         feasibility_residual=abs(achieved - target) / (1.0 + abs(target)),
+        iterations=iterations,
+        clamped=clamped,
     )
 
 
@@ -106,11 +107,7 @@ def minimal_effort_stabilize(A, w, target: float, tol: float = DEFAULT_TOL,
         raise NonIrreducibleError(
             f"minimal_effort_stabilize requires an irreducible matrix (got "
             f"{cls.kind}); use stabilize_blocks for completely reducible input")
-    n = M.shape[0]
-    w = _positive_vector(w, n, "w")
-    d = balance(w[:, None] * M, tol=tol, max_sweeps=max_sweeps, d0=d0).d
-    ell = (M @ d) / d - target
-    return _stabilization_result(M, w, target, ell, d)
+    return _stabilize(M, cls, w, target, tol, max_sweeps, d0)
 
 
 def stabilize_blocks(A, w, target: float, tol: float = DEFAULT_TOL,
@@ -122,38 +119,32 @@ def stabilize_blocks(A, w, target: float, tol: float = DEFAULT_TOL,
     the block-diagonal closed loop.
     """
     M, cls = _metzler_classified(A)
-    if cls.kind == IRREDUCIBLE:
-        return minimal_effort_stabilize(M, w, target, tol=tol, max_sweeps=max_sweeps)
-    if cls.kind != COMPLETELY_REDUCIBLE:
+    if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
         raise NonIrreducibleError(
             f"stabilize_blocks requires an irreducible or completely reducible "
             f"matrix, got {cls.kind}")
-    n = M.shape[0]
-    w = _positive_vector(w, n, "w")
-    ell = np.empty(n)
-    d = np.empty(n)
-    for block in cls.blocks:
-        idx = list(block)
-        sub = minimal_effort_stabilize(M[np.ix_(idx, idx)], w[idx], target,
-                                       tol=tol, max_sweeps=max_sweeps)
-        ell[idx] = sub.ell_star
-        d[idx] = sub.d_star
-    return _stabilization_result(M, w, target, ell, d)
+    return _stabilize(M, cls, w, target, tol, max_sweeps, None)
 
 
 def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabilityResult:
     """Certificate of marginal stability for an irreducible Metzler matrix.
 
     alpha(A) <= 0 holds iff some d > 0 satisfies A d <= 0; the Perron
-    eigenvector is such a d.  When the abscissa exceeds tol no certificate
-    exists and only the abscissa is reported.
+    eigenvector (iterated to residual ``tol``) is such a d whenever one
+    exists.  Only a d with A d <= 0 in every entry is certified; the reported
+    abscissa is the Collatz-Wielandt bound max_i (A d)_i / d_i >= alpha(A).
     """
-    M, _ = _metzler_classified(A)
-    pair = perron_pair(M, tol=tol)
-    if pair.abscissa <= tol:
-        d = pair.eigenvector
-        return MarginalStabilityResult(True, pair.abscissa, d, M @ d)
-    return MarginalStabilityResult(False, pair.abscissa)
+    M, cls = _metzler_classified(A)
+    if cls.kind != IRREDUCIBLE:
+        raise NonIrreducibleError(
+            f"marginal_stability_certificate requires an irreducible matrix, "
+            f"got {cls.kind}")
+    d = _perron(M, tol, DEFAULT_MAX_ITER).eigenvector
+    slack = M @ d
+    abscissa = float(np.max(slack / d))
+    if np.all(slack <= 0.0):
+        return MarginalStabilityResult(True, abscissa, d, slack)
+    return MarginalStabilityResult(False, abscissa)
 
 
 def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> OptimalityReport:
@@ -174,12 +165,16 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     ell = np.asarray(ell, dtype=float).ravel()
     if ell.shape[0] != n:
         raise ValueError(f"ell has length {ell.shape[0]}, expected {n}")
-    closed = M - np.diag(ell)
-    d = perron_pair(closed).eigenvector
-    abscissa, cd = _collatz_wielandt_max(M, ell, d)
+    # The one working copy: the closed loop, then its off-diagonal part.
+    work = M.copy()
+    np.fill_diagonal(work, np.diag(M) - ell)
+    d = _perron(work, DEFAULT_TOL, DEFAULT_MAX_ITER).eigenvector
+    cd = work @ d
+    abscissa = float(np.max(cd / d))
     feasible = abscissa <= target + tol * (1.0 + abs(target))
-    scaled = w[:, None] * (closed * (d[None, :] / d[:, None]))
-    balanced_residual = imbalance(scaled)
+    np.fill_diagonal(work, 0.0)
+    # Off-diagonal row and column sums of diag(w) D^{-1} C D from two mat-vecs.
+    balanced_residual = _imbalance(w * (work @ d) / d, d * (work.T @ (w / d)))
     eigen_residual = float(np.max(np.abs(cd - target * d)) / np.max(d))
     return OptimalityReport(
         feasible=bool(feasible),

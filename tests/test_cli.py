@@ -87,6 +87,7 @@ class TestStabilizeCommand:
         assert_allclose(res["cost"], 4.0, atol=1e-9)
         assert res["positive_gains"] is True
         assert res["feasibility_residual"] <= 1e-8
+        assert res["clamped"] is False and res["iterations"] >= 0
         assert manifest["params"] == {"target": -1.0, "tol": 1e-10}
         payload = json.loads(out.read_text())
         assert payload["ell_star"] == res["ell_star"]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import netcontract.metzler
+from netcontract.balancing import balance
 from netcontract.metzler import NonIrreducibleError, spectral_abscissa
 from netcontract.stabilization import (
     marginal_stability_certificate,
@@ -53,6 +55,15 @@ class TestFeasibilityAndResiduals:
             assert res.achieved >= alpha - 1e-12 * (1 + abs(target))
             assert res.eigen_residual <= 1e-8
             assert res.feasibility_residual <= 1e-8
+
+    def test_reports_balancing_sweeps(self):
+        rng = np.random.default_rng(8)
+        A = random_irreducible_metzler(rng, 30)
+        w = rng.uniform(0.5, 2.0, size=30)
+        res = minimal_effort_stabilize(A, w, -1.0)
+        assert res.iterations == balance(w[:, None] * A).iterations
+        assert res.iterations > 0
+        assert res.clamped is False
 
     def test_d_star_is_closed_loop_perron_vector(self):
         rng = np.random.default_rng(1)
@@ -174,6 +185,13 @@ class TestMarginalStabilityCertificate:
         assert cert.certified
         assert np.max(cert.slack) < 0
 
+    def test_positive_slack_not_certified(self):
+        # alpha = 5e-11 > 0: a Perron vector with A d > 0 certifies nothing
+        cert = marginal_stability_certificate(FLOW + 5e-11 * np.eye(2))
+        assert not cert.certified
+        assert cert.d is None
+        assert cert.abscissa > 0
+
     def test_unstable_has_no_certificate(self):
         cert = marginal_stability_certificate([[0.0, 2.0], [8.0, 0.0]])
         assert not cert.certified
@@ -217,3 +235,41 @@ class TestVerifyOptimality:
         rep = verify_optimality(FLOW, [1.0, 4.0], -1.0, res.ell_star - [0.1, 0.0])
         assert not rep.feasible
         assert rep.abscissa > -1.0
+
+
+class TestOneClassificationPerCall:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        classify = netcontract.metzler.classify
+
+        def counting(A):
+            seen.append(1)
+            return classify(A)
+
+        monkeypatch.setattr(netcontract.metzler, "classify", counting)
+        return seen
+
+    def test_each_entry_point_classifies_once(self, calls):
+        rng = np.random.default_rng(9)
+        A = random_irreducible_metzler(rng, 6)
+        w = rng.uniform(0.5, 2.0, size=6)
+        blocks = np.zeros((4, 4))
+        blocks[:2, :2] = FLOW
+        blocks[2:, 2:] = [[0.0, 2.0], [8.0, 0.0]]
+        other = np.zeros((4, 4))
+        other[:2, :2] = FLOW
+        other[2:, 2:] = FLOW
+        other[0, 2] = 1.0  # block 2 feeds block 1, not back
+        res = minimal_effort_stabilize(A, w, -1.0)
+        cases = [
+            lambda: minimal_effort_stabilize(A, w, -1.0),
+            lambda: stabilize_blocks(blocks, np.ones(4), -1.0),
+            lambda: verify_optimality(A, w, -1.0, res.ell_star),
+            lambda: marginal_stability_certificate(A),
+            lambda: spectral_abscissa(other),
+        ]
+        for call in cases:
+            calls.clear()
+            call()
+            assert len(calls) == 1
