@@ -78,18 +78,19 @@ def _balance_block(off: np.ndarray, tol: float, max_sweeps: int,
     if n == 1:
         return np.ones(1), 0, False
     d = d0.copy()
+    dinv = 1.0 / d  # kept equal to 1 / d entry by entry
     lo, hi = SCALING_CLAMP
     clamped = False
     residual = np.inf
     for sweep in range(max_sweeps):
         # Row and column sums of D^{-1} off D from two mat-vecs; forming the
         # scaled matrix would copy it on every sweep.
-        residual = _imbalance((off @ d) / d, (off.T @ (1.0 / d)) * d)
+        residual = _imbalance((off @ d) / d, (off.T @ dinv) * d)
         if residual <= tol:
             return d, sweep, clamped
         for i in range(n):
             r = float(off[i, :] @ d) / d[i]
-            c = float(off[:, i] @ (1.0 / d)) * d[i]
+            c = float(off[:, i] @ dinv) * d[i]
             if r <= 0.0 or c <= 0.0:
                 continue
             di = d[i] * np.sqrt(r / c)
@@ -97,6 +98,7 @@ def _balance_block(off: np.ndarray, tol: float, max_sweeps: int,
                 di = min(max(di, lo), hi)
                 clamped = True
             d[i] = di
+            dinv[i] = 1.0 / di
     raise BalanceConvergenceError(
         f"balancing did not reach imbalance {tol:g} within {max_sweeps} sweeps "
         f"(current imbalance {residual:.3e})", residual)

@@ -28,7 +28,7 @@ from netcontract.hierarchy import (
     synthesize_gains,
 )
 from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
-from netcontract.metzler import IRREDUCIBLE, classify, norm_kind, spectral_abscissa
+from netcontract.metzler import IRREDUCIBLE, MetzlerMatrix, norm_kind, spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
 FEASIBILITY_TOL = 1e-8
@@ -109,6 +109,23 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _payload(res, *drop) -> dict:
+    """JSON-ready fields of a result dataclass, arrays as lists."""
+    out = {}
+    for f in dataclasses.fields(res):
+        if f.name not in drop:
+            v = getattr(res, f.name)
+            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+    return out
+
+
+def _emit(args, payload: dict) -> dict:
+    """Write the payload to --output if given; the manifest result adds the path."""
+    if args.output:
+        _write_json(args.output, payload)
+    return {**payload, "output": args.output}
+
+
 def _read_weights(path, n: int) -> np.ndarray:
     if path is None:
         return np.ones(n)
@@ -118,18 +135,9 @@ def _read_weights(path, n: int) -> np.ndarray:
 def _cmd_balance(args):
     M = read_matrix(args.input)
     res = balance(M, tol=args.tol)
-    payload = {
-        "d": res.d.tolist(),
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "clamped": res.clamped,
-    }
-    if args.output:
-        _write_json(args.output, payload)
+    result = _emit(args, _payload(res, "balanced"))
     if args.balanced_output:
         write_matrix_csv(args.balanced_output, res.balanced)
-    result = dict(payload)
-    result["output"] = args.output
     result["balanced_output"] = args.balanced_output
     return ({"input": args.input}, {"tol": args.tol}, result, 0)
 
@@ -138,22 +146,7 @@ def _cmd_stabilize(args):
     M = read_matrix(args.input)
     w = _read_weights(args.weights, M.shape[0])
     res = minimal_effort_stabilize(M, w, args.target, tol=args.tol)
-    payload = {
-        "ell_star": res.ell_star.tolist(),
-        "d_star": res.d_star.tolist(),
-        "target": res.target,
-        "achieved": res.achieved,
-        "cost": res.cost,
-        "positive_gains": res.positive_gains,
-        "eigen_residual": res.eigen_residual,
-        "feasibility_residual": res.feasibility_residual,
-        "iterations": res.iterations,
-        "clamped": res.clamped,
-    }
-    if args.output:
-        _write_json(args.output, payload)
-    result = dict(payload)
-    result["output"] = args.output
+    result = _emit(args, _payload(res))
     code = 0 if res.feasibility_residual <= FEASIBILITY_TOL else 2
     return ({"input": args.input, "weights": args.weights},
             {"target": args.target, "tol": args.tol}, result, code)
@@ -182,9 +175,10 @@ def _cmd_bound(args):
     B = block_bound_matrix(M, part)
     if args.output:
         write_matrix_csv(args.output, B)
+    mm = MetzlerMatrix(B)
     abscissa = None
-    if classify(B).kind == IRREDUCIBLE:
-        abscissa = spectral_abscissa(B)
+    if mm.classification.kind == IRREDUCIBLE:
+        abscissa = spectral_abscissa(mm)
     result = {
         "b": B.tolist(),
         "abscissa": abscissa,
@@ -199,16 +193,7 @@ def _cmd_synthesize(args):
     J = read_matrix(args.jhat)
     w = _read_weights(args.weights, J.shape[0])
     res = synthesize_gains(J, w, args.rate, tol=args.tol)
-    payload = {
-        "v_star": res.v_star.tolist(),
-        "rate": res.rate,
-        "cost": res.cost,
-        "closed_loop_abscissa": res.closed_loop_abscissa,
-    }
-    if args.output:
-        _write_json(args.output, payload)
-    result = dict(payload)
-    result["output"] = args.output
+    result = _emit(args, _payload(res))
     ok = abs(res.closed_loop_abscissa + res.rate) <= FEASIBILITY_TOL * (1.0 + res.rate)
     return ({"jhat": args.jhat, "weights": args.weights},
             {"rate": args.rate, "tol": args.tol}, result, 0 if ok else 2)
@@ -240,24 +225,13 @@ def _cmd_fhn_simulate(args):
 
 
 def _certificate_payload(cert: fhn.ContractionCertificate) -> dict:
-    return {
-        "eta_requested": cert.eta_requested,
-        "eta_certified": cert.eta_certified,
-        "mu_scaled": cert.mu_scaled,
-        "passed": cert.passed,
-        "checks": [{"name": c.name, "passed": c.passed, "residual": c.residual}
-                   for c in cert.checks],
-    }
+    return {**dataclasses.asdict(cert), "passed": cert.passed}
 
 
 def _cmd_fhn_certify(args):
     config = fhn.load_config(args.config)
     cert = fhn.certify(config)
-    payload = _certificate_payload(cert)
-    if args.output:
-        _write_json(args.output, payload)
-    result = dict(payload)
-    result["output"] = args.output
+    result = _emit(args, _certificate_payload(cert))
     return ({"config": args.config}, {"eta": config.eta}, result,
             0 if cert.passed else 2)
 
@@ -266,15 +240,8 @@ def _cmd_fhn_gains(args):
     config = fhn.load_config(args.config)
     ell = fhn.resolved_gains(config)
     cert = fhn.certify(config)
-    payload = {
-        "gains": ell.tolist(),
-        "eta": config.eta,
-        "certificate": _certificate_payload(cert),
-    }
-    if args.output:
-        _write_json(args.output, payload)
-    result = dict(payload)
-    result["output"] = args.output
+    result = _emit(args, {"gains": ell.tolist(), "eta": config.eta,
+                          "certificate": _certificate_payload(cert)})
     return ({"config": args.config}, {"eta": config.eta}, result,
             0 if cert.passed else 2)
 

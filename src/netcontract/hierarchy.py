@@ -17,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netcontract.balancing import tridiagonal_bands
-from netcontract.metzler import DEFAULT_TOL, _as_square, matrix_measure, norm_kind
+from netcontract.balancing import _tridiagonal_bands
+from netcontract.metzler import DEFAULT_TOL, MetzlerMatrix, _as_square, _measure, norm_kind
 from netcontract.stabilization import minimal_effort_stabilize
 
 # Corner enumeration of a box is exponential in the dimension; beyond this
 # many corners only the random samples and the center are used.
 MAX_CORNERS = 4096
+
+# Sampled Jacobians are bounded in stacks of about this many bytes.
+_STACK_BYTES = 1 << 25
 
 
 class HypothesisViolatedError(ValueError):
@@ -112,14 +115,7 @@ class GainSynthesisResult:
     closed_loop_abscissa: float
 
 
-def _vector_norm(x: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "one":
-        return np.abs(x).sum(axis=-1)
-    if kind == "inf":
-        return np.abs(x).max(axis=-1)
-    return np.sqrt((x * x).sum(axis=-1))
-
-
+_ORD = {"one": 1, "two": 2, "inf": np.inf}
 _DUAL = {"one": "inf", "inf": "one", "two": "two"}
 
 
@@ -135,49 +131,43 @@ def operator_norm(M, out_kind="two", in_kind=None) -> float:
     out_kind = norm_kind(out_kind)
     in_kind = out_kind if in_kind is None else norm_kind(in_kind)
     if in_kind == "one":
-        return float(np.max(_vector_norm(M.T, out_kind)))
+        return float(np.max(np.linalg.norm(M.T, _ORD[out_kind], axis=-1)))
     if out_kind == "inf":
-        return float(np.max(_vector_norm(M, _DUAL[in_kind])))
+        return float(np.max(np.linalg.norm(M, _ORD[_DUAL[in_kind]], axis=-1)))
     if in_kind == "two" and out_kind == "two":
         return float(np.linalg.norm(M, 2))
     raise ValueError(
         f"no tractable exact formula for the {in_kind} -> {out_kind} induced norm")
 
 
-def _scaled_block(M: np.ndarray, row_norm: BlockNorm, col_norm: BlockNorm) -> np.ndarray:
-    out = M
-    if row_norm.scaling is not None:
-        out = row_norm.scaling[:, None] * out
-    if col_norm.scaling is not None:
-        out = out / col_norm.scaling[None, :]
-    return out
-
-
 def block_bound_matrix(A, partition: BlockPartition) -> np.ndarray:
-    """Metzler majorant of a matrix over a block partition.
+    """Metzler majorant of a matrix over a block partition; a stack (..., n, n)
+    gives a stack (..., m, m).
 
     B[i][i] is the measure of the i-th diagonal block in the block's own
     norm; B[i][j] (i != j) is the induced norm of the coupling block from
     block j's norm to block i's.  The measure of A in the composite norm
-    (Perron-weighted outer max) is bounded by the abscissa of B.
+    (Perron-weighted outer max) is bounded by the abscissa of B.  Blocks of
+    two kinds always couple in a direction ``operator_norm`` cannot take.
     """
-    M = _as_square(A)
-    if partition.total != M.shape[0]:
-        raise ValueError(
-            f"partition covers {partition.total} indices, matrix has {M.shape[0]}")
+    M = np.asarray(A.entries if isinstance(A, MetzlerMatrix) else A, dtype=float)
+    if M.ndim < 2 or M.shape[-2:] != (partition.total,) * 2:
+        raise ValueError(f"partition covers {partition.total} indices, got shape {M.shape}")
+    kind, *others = {bn.kind for bn in partition.block_norms}
+    if others:
+        raise ValueError("no tractable exact formula for couplings of different norm kinds")
+    if any(bn.scaling is not None for bn in partition.block_norms):
+        # T M T^{-1} with T the block scalings end to end.
+        t = np.concatenate([np.ones(size) if bn.scaling is None else bn.scaling
+                            for size, bn in zip(partition.sizes, partition.block_norms)])
+        M = M * (t[:, None] / t[None, :])
     sl = partition.slices()
     m = len(sl)
-    B = np.empty((m, m))
-    for i in range(m):
-        ni = partition.block_norms[i]
-        for j in range(m):
-            blk = M[sl[i], sl[j]]
-            if i == j:
-                B[i, j] = matrix_measure(blk, ni.kind, scaling=ni.scaling)
-            else:
-                nj = partition.block_norms[j]
-                B[i, j] = operator_norm(_scaled_block(blk, ni, nj),
-                                        out_kind=ni.kind, in_kind=nj.kind)
+    B = np.empty(M.shape[:-2] + (m, m))
+    for i, j in itertools.product(range(m), repeat=2):
+        blk = M[..., sl[i], sl[j]]
+        B[..., i, j] = (_measure(blk, kind) if i == j else
+                        np.linalg.norm(blk, _ORD[kind], axis=(-2, -1)))
     return B
 
 
@@ -203,7 +193,7 @@ def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
         blk = x[..., sl]
         if bn.scaling is not None:
             blk = blk * bn.scaling
-        vals.append(_vector_norm(blk, bn.kind))
+        vals.append(np.linalg.norm(blk, _ORD[bn.kind], axis=-1))
     return np.max(np.stack(vals, axis=-1) / w, axis=-1)
 
 
@@ -215,8 +205,9 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     ``sampler(t, x)`` returns the Jacobian at state x and time t.  Evaluation
     points: ``samples`` uniform draws, the box corners (skipped when there
     are more than 4096), and the center, at every t in ``t_grid``.  The
-    result is an underestimate of the true supremum and is flagged
-    ``"sampled"``.
+    sampler is called once per point, in that order, and its outputs are
+    bounded in stacks of about ``_STACK_BYTES``.  The result is an
+    underestimate of the true supremum and is flagged ``"sampled"``.
     """
     lo = np.asarray(domain[0], dtype=float).ravel()
     hi = np.asarray(domain[1], dtype=float).ravel()
@@ -233,10 +224,12 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
         points.append(np.array(list(itertools.product(*zip(lo, hi)))))
     points = np.vstack([np.atleast_2d(p) for p in points])
     m = len(partition.sizes)
+    chunk = max(1, _STACK_BYTES // (8 * partition.total ** 2))
     j_hat = np.full((m, m), -np.inf)
     for t in t_grid:
-        for x in points:
-            np.maximum(j_hat, block_bound_matrix(sampler(t, x), partition),
+        for k in range(0, points.shape[0], chunk):
+            J = np.stack([sampler(t, x) for x in points[k:k + chunk]])
+            np.maximum(j_hat, block_bound_matrix(J, partition).max(axis=0),
                        out=j_hat)
     return JacobianBound(j_hat, provenance="sampled",
                          sample_count=points.shape[0] * len(t_grid),
@@ -281,7 +274,7 @@ def tridiagonal_gains(j_hat, eta: float) -> np.ndarray:
     w = 1 on tridiagonal input.
     """
     J = _unwrap(j_hat)
-    sub, sup = tridiagonal_bands(J)
+    sub, sup = _tridiagonal_bands(J)
     _check_hypothesis(J, eta)
     v = float(eta) + np.diag(J).astype(float).copy()
     if J.shape[0] > 1:

@@ -298,10 +298,13 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     if scaling is not None:
         t = _positive_vector(scaling, M.shape[0], "scaling")
         M = M * (t[:, None] / t[None, :])
-    kind = norm_kind(norm)
-    d = np.diag(M)
-    if kind == "one":
-        return float(np.max(d + np.abs(M).sum(axis=0) - np.abs(d)))
-    if kind == "inf":
-        return float(np.max(d + np.abs(M).sum(axis=1) - np.abs(d)))
-    return float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
+    return float(_measure(M, norm_kind(norm)))
+
+
+def _measure(M: np.ndarray, kind: str) -> np.ndarray:
+    """Measure of every square matrix in a stack (..., k, k), kind canonical."""
+    if kind == "two":
+        return np.linalg.eigvalsh((M + np.swapaxes(M, -2, -1)) / 2.0)[..., -1]
+    d = np.diagonal(M, axis1=-2, axis2=-1)
+    sums = np.abs(M).sum(axis=-2 if kind == "one" else -1)
+    return np.max(d + sums - np.abs(d), axis=-1)

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import netcontract.cli
+import netcontract.metzler
 from numpy.testing import assert_allclose
 
 from netcontract import __version__
@@ -129,6 +132,23 @@ class TestBoundCommand:
         assert np.array_equal(read_matrix(out), B)
         assert_allclose(manifest["result"]["b"], B, atol=1e-12)
         assert_allclose(manifest["result"]["abscissa"], spectral_abscissa(B), atol=1e-12)
+
+    def test_bound_classified_once(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        classify = netcontract.metzler.classify
+
+        def counting(A):
+            seen.append(1)
+            return classify(A)
+
+        monkeypatch.setattr(netcontract.metzler, "classify", counting)
+        monkeypatch.setattr(netcontract.cli, "classify", counting, raising=False)
+        mat = tmp_path / "a.csv"
+        np.savetxt(mat, [[-2.0, 1.0], [3.0, -4.0]], delimiter=",")
+        code, manifest, _ = run(capsys, "bound", "--input", str(mat),
+                                "--partition", "1,1")
+        assert code == 0 and manifest["result"]["abscissa"] is not None
+        assert len(seen) == 1
 
     def test_partition_errors(self, capsys, tmp_path):
         mat = tmp_path / "a.csv"

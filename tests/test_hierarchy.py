@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from netcontract import hierarchy
 from netcontract.hierarchy import (
     BlockNorm,
     BlockPartition,
@@ -138,6 +139,43 @@ class TestBlockBoundMatrix:
             assert np.all(norms <= envelope * (1 + 1e-6) + 1e-12)
 
 
+class TestStackedBlockBound:
+    @pytest.mark.parametrize("kind", ["one", "two", "inf"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_stack_matches_per_matrix(self, kind, scaled):
+        rng = np.random.default_rng(8)
+        sizes = (2, 3, 1)
+        # the last block stays unscaled, so scaled and unscaled blocks mix
+        t = [rng.uniform(0.5, 2.0, s) if scaled and k < 2 else None
+             for k, s in enumerate(sizes)]
+        part = BlockPartition(sizes, tuple(BlockNorm(kind, tk) for tk in t))
+        t = [np.ones(s) if tk is None else tk for s, tk in zip(sizes, t)]
+        stack = rng.uniform(-2, 2, size=(5, 6, 6))
+        B = block_bound_matrix(stack, part)
+        assert B.shape == (5, 3, 3)
+        sl = part.slices()
+        for A, Bk in zip(stack, B):
+            assert_allclose(Bk, block_bound_matrix(A, part), rtol=1e-13, atol=1e-13)
+            for i, j in np.ndindex(3, 3):
+                blk = A[sl[i], sl[j]]
+                ref = (matrix_measure(blk, kind, scaling=t[i]) if i == j else
+                       operator_norm(t[i][:, None] * blk / t[j][None, :], kind))
+                assert_allclose(Bk[i, j], ref, rtol=1e-12, atol=1e-12)
+
+    def test_nested_stack_shape(self):
+        A = np.random.default_rng(9).uniform(-1, 1, size=(2, 3, 4, 4))
+        B = block_bound_matrix(A, BlockPartition.uniform([2, 2]))
+        assert B.shape == (2, 3, 2, 2)
+        assert_allclose(B[1, 2], block_bound_matrix(A[1, 2], BlockPartition.uniform([2, 2])),
+                        rtol=1e-13, atol=1e-13)
+
+    def test_non_square_rejected(self):
+        part = BlockPartition.uniform([2])
+        for bad in (np.ones(2), np.ones((2, 3)), np.ones((4, 2, 3))):
+            with pytest.raises(ValueError):
+                block_bound_matrix(bad, part)
+
+
 class TestCompositeNorm:
     def test_blockwise_values(self):
         part = BlockPartition((2, 2), (BlockNorm("one"), BlockNorm("inf")))
@@ -179,6 +217,49 @@ class TestJacobianSupEstimate:
             (np.array([0.0]), np.array([1.0])), t_grid=(0.0, 0.5, 2.0), samples=3)
         assert est.j_hat[0, 0] == 2.0
         assert est.sample_count == 3 * (3 + 2 + 1)
+
+    @pytest.mark.parametrize("stack_bytes", [1, 3 * 8 * 16])
+    def test_chunked_stacks_give_same_estimate(self, monkeypatch, stack_bytes):
+        rng = np.random.default_rng(10)
+        C = rng.uniform(-1, 1, size=(4, 4))
+        part = BlockPartition((2, 2), (BlockNorm("two", [1.0, 3.0]),
+                                       BlockNorm("two", [2.0, 1.0])))
+        dom = (-np.ones(4), np.ones(4))
+
+        def run():
+            seen = []
+
+            def sampler(t, x):
+                seen.append((t, x.copy()))
+                return C * np.cos(t + x.sum()) - np.diag(x ** 2)
+
+            est = jacobian_sup_estimate(sampler, part, dom, t_grid=(0.0, 1.0),
+                                        samples=37)
+            return est, seen
+
+        whole, seen_whole = run()
+        # stack_bytes = 1 forces 1-point stacks; 3 * 8 * 16 gives 3-point
+        # stacks that do not divide the 37 + 1 + 16 points of each t
+        monkeypatch.setattr(hierarchy, "_STACK_BYTES", stack_bytes)
+        chunked, seen_chunked = run()
+        assert np.array_equal(chunked.j_hat, whole.j_hat)
+        assert chunked.sample_count == whole.sample_count == 2 * (37 + 1 + 16)
+        assert len(seen_chunked) == len(seen_whole) == chunked.sample_count
+        for (t1, x1), (t2, x2) in zip(seen_chunked, seen_whole):
+            assert t1 == t2 and np.array_equal(x1, x2)
+
+    def test_wrong_sampler_shape_raises(self):
+        part = BlockPartition.uniform([1, 1])
+        dom = (np.zeros(2), np.ones(2))
+        bad_samplers = [
+            lambda t, x: np.eye(3),                          # wrong size
+            lambda t, x: np.ones((2, 3)),                    # not square
+            lambda t, x: 1.0,                                # scalar
+            lambda t, x: np.eye(2 if x[0] < 0.5 else 3),     # shape varies
+        ]
+        for sampler in bad_samplers:
+            with pytest.raises(ValueError):
+                jacobian_sup_estimate(sampler, part, dom, samples=20)
 
     def test_validation(self):
         part = BlockPartition.uniform([1])
