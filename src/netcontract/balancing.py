@@ -169,16 +169,6 @@ def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sub, sup
 
 
-def tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray]:
-    """Sub- and super-diagonal of an irreducible tridiagonal Metzler matrix.
-
-    Raises if the matrix has entries outside the three bands, a negative
-    off-diagonal entry, or a zero on the sub/super-diagonal (which would make
-    it reducible).
-    """
-    return _tridiagonal_bands(_as_square(A))
-
-
 def balance_tridiagonal(A) -> np.ndarray:
     """Closed-form balancing scaling for an irreducible tridiagonal Metzler matrix.
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from netcontract.balancing import _tridiagonal_bands
-from netcontract.metzler import DEFAULT_TOL, MetzlerMatrix, _as_square, _measure, norm_kind
+from netcontract.metzler import (
+    DEFAULT_TOL,
+    MetzlerMatrix,
+    _as_square,
+    _measure,
+    _positive_vector,
+    norm_kind,
+)
 from netcontract.stabilization import minimal_effort_stabilize
 
 # Corner enumeration of a box is exponential in the dimension; beyond this
@@ -45,10 +52,8 @@ class BlockNorm:
     def __post_init__(self):
         object.__setattr__(self, "kind", norm_kind(self.kind))
         if self.scaling is not None:
-            t = np.asarray(self.scaling, dtype=float).ravel()
-            if np.any(t <= 0):
-                raise ValueError("block norm scaling must be strictly positive")
-            object.__setattr__(self, "scaling", t)
+            object.__setattr__(self, "scaling", _positive_vector(
+                self.scaling, np.size(self.scaling), "block norm scaling"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +187,7 @@ def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
         raise ValueError(
             f"state has dimension {x.shape[-1]}, partition covers {partition.total}")
     m = len(partition.sizes)
-    if weights is None:
-        w = np.ones(m)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape[0] != m or np.any(w <= 0):
-            raise ValueError("weights must be one positive value per block")
+    w = np.ones(m) if weights is None else _positive_vector(weights, m, "weights")
     vals = []
     for sl, bn in zip(partition.slices(), partition.block_norms):
         blk = x[..., sl]

@@ -58,70 +58,42 @@ def _positive_vector(v, n: int, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float).ravel()
     if arr.shape[0] != n:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
-    if np.any(arr <= 0):
+    if not np.all(np.isfinite(arr) & (arr > 0)):
         raise ValueError(f"{name} must be strictly positive")
     return arr
 
 
-def _components(M: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Off-diagonal edge mask and the strongly connected components.
-
-    Edge j -> i whenever entry (i, j) is structurally positive.  The SCC
-    partition does not depend on the orientation convention.
-    """
+def _edge_mask(M: np.ndarray) -> np.ndarray:
+    """Edge j -> i whenever off-diagonal entry (i, j) is structurally positive."""
     mask = M > STRUCTURAL_ZERO
     np.fill_diagonal(mask, False)
-    return mask, _scc([np.flatnonzero(mask[:, j]).tolist() for j in range(M.shape[0])])
+    return mask
 
 
-def _scc(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components (iterative Tarjan), each sorted."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            edges = adj[v]
-            while ei < len(edges):
-                w = edges[ei]
-                ei += 1
-                if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return comps
+def _reaches_all(mask: np.ndarray) -> bool:
+    """Whether a breadth-first search from node 0, stepping from i to every j
+    with mask[i, j], reaches every node.  Each level ORs the frontier's rows."""
+    seen = np.zeros(mask.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = mask[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _strong_components(mask: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Strong-component label of each node, and the components as sorted
+    index tuples ordered by their smallest member."""
+    # Imported here, not at module level: scipy.sparse.csgraph adds about
+    # 11 MB of resident memory, and irreducible input never needs it.
+    import scipy.sparse.csgraph
+
+    _, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(mask), directed=True, connection="strong")
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return labels, tuple(sorted((tuple(c.tolist()) for c in comps), key=lambda c: c[0]))
 
 
 @dataclass(frozen=True)
@@ -150,19 +122,15 @@ def classify(A) -> Classification:
     its components up to a symmetric permutation.
     """
     M = _as_square(A)
-    n = M.shape[0]
     if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
         return Classification(NOT_METZLER)
-    mask, comps = _components(M)
-    if len(comps) == 1:
+    mask = _edge_mask(M)
+    if _reaches_all(mask) and _reaches_all(mask.T):
         return Classification(IRREDUCIBLE)
-    comp_of = np.empty(n, dtype=int)
-    for k, comp in enumerate(comps):
-        comp_of[comp] = k
+    labels, blocks = _strong_components(mask)
     rows, cols = np.nonzero(mask)
-    if np.any(comp_of[rows] != comp_of[cols]):
+    if np.any(labels[rows] != labels[cols]):
         return Classification(REDUCIBLE_OTHER)
-    blocks = tuple(tuple(c) for c in sorted(comps, key=lambda c: c[0]))
     return Classification(COMPLETELY_REDUCIBLE, blocks)
 
 
@@ -256,7 +224,7 @@ def spectral_abscissa(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     M, cls = _metzler_classified(A)
     if cls.kind == IRREDUCIBLE:
         return _perron(M, tol, max_iter).abscissa
-    comps = cls.blocks if cls.blocks is not None else _components(M)[1]
+    comps = cls.blocks if cls.blocks is not None else _strong_components(_edge_mask(M))[1]
     return max(_perron(M[np.ix_(c, c)], tol, max_iter).abscissa for c in comps)
 
 

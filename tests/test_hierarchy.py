@@ -71,6 +71,11 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockNorm("nuclear")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_scaling_rejects_nan_and_inf(self, bad):
+        with pytest.raises(ValueError):
+            BlockNorm("inf", scaling=[bad, 1.0])
+
 
 class TestBlockBoundMatrix:
     @given(metzler_matrices(granular=True))
@@ -191,6 +196,12 @@ class TestCompositeNorm:
         part = BlockPartition.uniform([2, 1])
         x = np.ones((3, 7, 3))
         assert composite_norm(x, part).shape == (3, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_weights_must_be_finite_and_positive(self, bad):
+        part = BlockPartition.uniform([2, 1])
+        with pytest.raises(ValueError):
+            composite_norm(np.ones(3), part, weights=[1.0, bad])
 
 
 class TestJacobianSupEstimate:

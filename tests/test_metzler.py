@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import netcontract
 from netcontract.metzler import (
     COMPLETELY_REDUCIBLE,
     IRREDUCIBLE,
     NOT_METZLER,
     REDUCIBLE_OTHER,
+    STRUCTURAL_ZERO,
     MetzlerMatrix,
     NonIrreducibleError,
     classify,
@@ -57,6 +64,91 @@ class TestClassify:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             classify(np.ones((2, 3)))
+
+
+def warshall_reachability(A) -> np.ndarray:
+    """R[i, j] when node i reaches node j (or i == j), for edges i -> j at
+    off-diagonal entries A[i, j] above STRUCTURAL_ZERO."""
+    n = A.shape[0]
+    R = (A > STRUCTURAL_ZERO) | np.eye(n, dtype=bool)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                R[i, j] = R[i, j] or (R[i, k] and R[k, j])
+    return R
+
+
+@st.composite
+def graph_structured_metzler(draw):
+    """Metzler matrices (n <= 10) with structural zeros and noise-level
+    entries: sparse random, permuted block-diagonal over irreducible blocks,
+    or a permuted triangular chain."""
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(("sparse", "blocks", "chain")))
+    cell = st.sampled_from((0.0, 0.0, 0.0, 1e-15, 0.5, 2.0))
+    A = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if shape == "blocks":
+        labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        A *= labels[:, None] == labels[None, :]
+        for lab in set(labels.tolist()):
+            members = np.flatnonzero(labels == lab)
+            if members.size > 1:
+                A[members, np.roll(members, 1)] = 1.0
+    elif shape == "chain":
+        A = np.triu(A, 1)
+        A[np.arange(n - 1), np.arange(1, n)] = 1.0
+        perm = np.array(draw(st.permutations(range(n))), dtype=int)
+        A = A[np.ix_(perm, perm)]
+    diag = draw(st.lists(st.integers(-12, 4), min_size=n, max_size=n, unique=True))
+    np.fill_diagonal(A, 0.25 * np.array(diag))
+    return A
+
+
+class TestClassifyOracle:
+    @given(graph_structured_metzler())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_transitive_closure(self, A):
+        R = warshall_reachability(A)
+        mutual = R & R.T
+        edges = A > STRUCTURAL_ZERO
+        np.fill_diagonal(edges, False)
+        cls = classify(A)
+        if R.all():
+            assert cls.kind == IRREDUCIBLE and cls.blocks is None
+        elif np.all(mutual[edges]):
+            assert cls.kind == COMPLETELY_REDUCIBLE
+            assert cls.blocks == tuple(sorted(
+                {tuple(np.flatnonzero(row).tolist()) for row in mutual}))
+        else:
+            assert cls.kind == REDUCIBLE_OTHER and cls.blocks is None
+            ref = np.max(np.linalg.eigvals(A).real)
+            assert_allclose(spectral_abscissa(A), ref, atol=1e-7)
+
+    def test_csgraph_imported_only_for_reducible_input(self):
+        # scipy.sparse.csgraph costs about 11 MB of resident memory, so the
+        # library calls on irreducible input must not import it.  A fresh
+        # interpreter keeps other tests' imports out of sys.modules.
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from netcontract import (
+                classify, minimal_effort_stabilize, synthesize_gains, verify_optimality)
+            J = np.array([[1.0, 2.0, 0.0], [8.0, 1.0, 3.0], [0.0, 12.0, 1.0]])
+            w = np.ones(3)
+            assert classify(J).kind == "irreducible"
+            res = minimal_effort_stabilize(J, w, -1.0)
+            verify_optimality(J, w, -1.0, res.ell_star)
+            synthesize_gains(J, w, eta=0.5)
+            print("scipy.sparse.csgraph" in sys.modules)
+            classify(np.eye(3))
+            print("scipy.sparse.csgraph" in sys.modules)
+        """)
+        src = os.path.dirname(os.path.dirname(netcontract.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestMetzlerMatrix:
@@ -197,6 +289,11 @@ class TestMatrixMeasure:
             matrix_measure(self.A, "inf", scaling=[1.0, -2.0])
         with pytest.raises(ValueError):
             matrix_measure(self.A, "inf", scaling=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_scaling_rejects_nan_and_inf(self, bad):
+        with pytest.raises(ValueError):
+            matrix_measure(self.A, "inf", scaling=[bad, 1.0])
 
     def test_mu2_matches_eigvalsh(self):
         rng = np.random.default_rng(5)

@@ -149,6 +149,11 @@ class TestValidationAndBlocks:
         with pytest.raises(ValueError):
             minimal_effort_stabilize(FLOW, [1.0], -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_reject_nan_and_inf(self, bad):
+        with pytest.raises(ValueError):
+            minimal_effort_stabilize(FLOW, [1.0, bad], -1.0)
+
     def test_blockwise_matches_per_block(self):
         A = np.zeros((4, 4))
         A[:2, :2] = FLOW
