@@ -2,11 +2,12 @@
 
 A square matrix is balanced when every row's off-diagonal sum equals the
 matching column's off-diagonal sum.  Irreducible (and completely reducible)
-Metzler matrices admit a positive diagonal D with D^{-1} A D balanced; it is
-found by Osborne-style cyclic updates, which monotonically decrease the
-potential f(d) = sum_ij a_ij d_j / d_i.  The potential is convex in log d and
-its minimizers are exactly the balancing scalings, which makes it a cheap
-independent optimality oracle.
+Metzler matrices admit a positive diagonal D with D^{-1} A D balanced.  The
+potential f(d) = sum_ij a_ij d_j / d_i is convex in x = log d and its
+minimizers are exactly the balancing scalings, so it is found by damped
+Newton steps on f(e^x) (Kalantari, Khachiyan and Shokoufandeh 1997; Cohen,
+Madry, Tsipras and Vladu 2017), matrix-free over the nonzero entries.  The
+potential is also a cheap independent optimality oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from netcontract.metzler import (
     _positive_vector,
 )
 
-MAX_SWEEPS = 100_000
+MAX_SWEEPS = 100_000  # cap on Newton steps (``max_sweeps``)
+# Step halvings tried before balancing gives up; 2^-60 of a step is below the
+# rounding of x.
+_MAX_HALVINGS = 60
 
 # Scaling entries are clamped to this range to prevent overflow on badly
 # conditioned input; hitting the clamp is surfaced via BalancingResult.clamped.
@@ -40,7 +44,8 @@ class NotBalancableError(ValueError):
 
 
 class BalanceConvergenceError(RuntimeError):
-    """Sweep cap exceeded; carries the last imbalance as ``residual``."""
+    """Step cap exceeded or no step makes progress; carries the last imbalance
+    as ``residual``."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -72,55 +77,112 @@ def imbalance(A) -> float:
     return _imbalance(off.sum(axis=1), off.sum(axis=0))
 
 
-def _balance_block(off: np.ndarray, tol: float, max_sweeps: int,
-                   d0: np.ndarray) -> tuple[np.ndarray, int, bool]:
+def _pcg(hess, b: np.ndarray, m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients for H x = b, with H symmetric
+    positive semidefinite given as the product ``hess``, m its positive
+    diagonal and b in its range.  Stops once the preconditioned residual
+    r^T m^{-1} r falls to rtol^2 times its start value (r^T r alone would
+    overflow on badly scaled input)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / m
+    p = z.copy()
+    rz = float(r @ z)
+    stop = rtol * rtol * rz
+    for _ in range(max_iter):
+        if rz <= stop:
+            break
+        q = hess(p)
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = r / m
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x
+
+
+def _balance_block(off: np.ndarray, tol: float, max_steps: int,
+                   x0: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Damped Newton on f(x) = sum_ij off_ij e^(x_j - x_i), x = log d, for an
+    irreducible zero-diagonal block: (x, Newton steps, clamped)."""
     n = off.shape[0]
     if n == 1:
-        return np.ones(1), 0, False
-    d = d0.copy()
-    dinv = 1.0 / d  # kept equal to 1 / d entry by entry
-    lo, hi = SCALING_CLAMP
-    clamped = False
-    residual = np.inf
-    for sweep in range(max_sweeps):
-        # Row and column sums of D^{-1} off D from two mat-vecs; forming the
-        # scaled matrix would copy it on every sweep.
-        residual = _imbalance((off @ d) / d, (off.T @ dinv) * d)
+        return np.zeros(1), 0, False
+    rows, cols = np.nonzero(off > 0.0)
+    log_a = np.log(off[rows, cols])
+    lo, hi = np.log(SCALING_CLAMP)
+
+    def clamp(x):
+        # d is defined up to scale: centre x on its mid-range, then clip.
+        x = x - (x.max() + x.min()) / 2.0
+        return np.clip(x, lo, hi), bool(x.max() - x.min() > hi - lo)
+
+    def scaled(x):
+        # Entries W of D^{-1} off D on the nonzeros, the row sums r and
+        # column sums c of W, f and the imbalance; f = inf on overflow.
+        with np.errstate(over="ignore"):
+            w = np.exp(log_a + x[cols] - x[rows])
+            f = float(w.sum())
+        if not np.isfinite(f):
+            return w, None, None, np.inf, np.inf
+        r = np.bincount(rows, w, n)
+        c = np.bincount(cols, w, n)
+        return w, r, c, f, _imbalance(r, c)
+
+    def hess(v):
+        # H v for H = diag(r + c) - W - W^T, the Hessian of f at the current x.
+        t = w * (v[rows] - v[cols])
+        return np.bincount(rows, t, n) - np.bincount(cols, t, n)
+
+    x, clamped = clamp(x0)
+    w, r, c, f, residual = scaled(x)
+    if not np.isfinite(f):
+        raise BalanceConvergenceError("the start scaling overflows the matrix", np.inf)
+    for step in range(max_steps):
         if residual <= tol:
-            return d, sweep, clamped
-        for i in range(n):
-            r = float(off[i, :] @ d) / d[i]
-            c = float(off[:, i] @ dinv) * d[i]
-            if r <= 0.0 or c <= 0.0:
-                continue
-            di = d[i] * np.sqrt(r / c)
-            if di < lo or di > hi:
-                di = min(max(di, lo), hi)
-                clamped = True
-            d[i] = di
-            dinv[i] = 1.0 / di
+            return x, step, clamped
+        # The gradient of f is c - r, which sums to zero, so H dx = r - c is
+        # consistent; solving it only to sqrt(imbalance) keeps the steps
+        # superlinear without spending CG iterations far from the optimum.
+        dx = _pcg(hess, r - c, r + c, min(0.5, np.sqrt(residual)), n)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new, hit = clamp(x + t * dx)
+            w_new, r_new, c_new, f_new, res_new = scaled(x_new)
+            # Near the optimum f falls by less than its rounding while the
+            # imbalance still falls, so either one decreasing is progress.
+            if f_new < f or res_new < residual:
+                break
+            t /= 2.0
+        else:
+            raise BalanceConvergenceError(
+                f"balancing stalled at imbalance {residual:.3e} above {tol:g}: "
+                "no step lowers the potential or the imbalance", residual)
+        x, w, r, c, f, residual = x_new, w_new, r_new, c_new, f_new, res_new
+        clamped |= hit
     raise BalanceConvergenceError(
-        f"balancing did not reach imbalance {tol:g} within {max_sweeps} sweeps "
-        f"(current imbalance {residual:.3e})", residual)
+        f"balancing did not reach imbalance {tol:g} within {max_steps} Newton "
+        f"steps (current imbalance {residual:.3e})", residual)
 
 
 def _balance(off: np.ndarray, cls: Classification, tol: float, max_sweeps: int,
              d0) -> tuple[np.ndarray, int, bool]:
     """Balancing scaling of a zero-diagonal irreducible or completely reducible
-    Metzler matrix: (d, total sweeps, clamped), each block's d led by 1."""
+    Metzler matrix: (d, total Newton steps, clamped), each block's d led by 1."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = off.shape[0]
-    start = np.ones(n) if d0 is None else _positive_vector(d0, n, "d0")
+    start = np.zeros(n) if d0 is None else np.log(_positive_vector(d0, n, "d0"))
     blocks = [slice(None)] if cls.kind == IRREDUCIBLE else [list(b) for b in cls.blocks]
     d = np.empty(n)
     iterations = 0
     clamped = False
     for block in blocks:
         sub = off if len(blocks) == 1 else off[np.ix_(block, block)]
-        bd, sweeps, bclamped = _balance_block(sub, tol, max_sweeps, start[block])
-        d[block] = bd / bd[0]
-        iterations += sweeps
+        bx, steps, bclamped = _balance_block(sub, tol, max_sweeps, start[block])
+        d[block] = np.exp(bx - bx[0])
+        iterations += steps
         clamped |= bclamped
     return d, iterations, clamped
 
@@ -129,11 +191,17 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
             d0=None) -> BalancingResult:
     """Find d > 0 such that D^{-1} A D is balanced (D = diag(d), d[0] = 1).
 
-    Osborne cyclic updates d_i <- d_i * sqrt(r_i / c_i) equalize the i-th
-    off-diagonal row and column sums one coordinate at a time.  Completely
-    reducible input is balanced block by block (each block's leading scaling
-    entry is normalized to 1).  Convergence means imbalance <= tol; exceeding
-    ``max_sweeps`` raises BalanceConvergenceError with the last residual.
+    Damped Newton steps on the convex potential f(x) = sum_ij a_ij
+    e^(x_j - x_i), x = log d, whose gradient is the column minus the row sums
+    of the scaled off-diagonal part.  Each step solves with the Hessian, a
+    weighted graph Laplacian, by Jacobi-preconditioned conjugate gradients
+    over the nonzero entries, and is halved until it lowers f or the
+    imbalance.  The nonzeros are held as (row, column, log entry) triplets,
+    about three words per nonzero on top of the input.  Completely reducible
+    input is balanced block by block (each block's leading scaling entry is
+    normalized to 1).  Convergence means imbalance <= tol; ``max_sweeps``
+    caps the Newton steps (``iterations`` counts them), and exceeding it or
+    stalling raises BalanceConvergenceError with the last residual.
     """
     M, cls = _metzler_classified(A)
     if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
@@ -172,11 +240,12 @@ def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def balance_tridiagonal(A) -> np.ndarray:
     """Closed-form balancing scaling for an irreducible tridiagonal Metzler matrix.
 
-    d_1 = 1 and d_i = sqrt(prod_{j<i} a_{j+1,j} / a_{j,j+1}); the scaled
-    matrix D^{-1} A D is symmetric, hence balanced.
+    d_1 = 1 and d_i = prod_{j<i} sqrt(a_{j+1,j} / a_{j,j+1}); the scaled
+    matrix D^{-1} A D is symmetric, hence balanced.  Taking the square roots
+    before the product keeps every partial product no larger than d itself.
     """
     sub, sup = _tridiagonal_bands(_as_square(A))
-    return np.concatenate(([1.0], np.sqrt(np.cumprod(sub / sup))))
+    return np.concatenate(([1.0], np.cumprod(np.sqrt(sub) / np.sqrt(sup))))
 
 
 def potential(A, d) -> float:

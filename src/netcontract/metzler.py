@@ -8,7 +8,7 @@ scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,6 +106,10 @@ class Classification:
 
     kind: str
     blocks: tuple[tuple[int, ...], ...] | None = None
+    # The strong components of reducible_other input, kept so that
+    # spectral_abscissa does not compute them again.
+    _components: tuple[tuple[int, ...], ...] | None = field(
+        default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         if self.kind == COMPLETELY_REDUCIBLE:
@@ -130,7 +134,7 @@ def classify(A) -> Classification:
     labels, blocks = _strong_components(mask)
     rows, cols = np.nonzero(mask)
     if np.any(labels[rows] != labels[cols]):
-        return Classification(REDUCIBLE_OTHER)
+        return Classification(REDUCIBLE_OTHER, _components=blocks)
     return Classification(COMPLETELY_REDUCIBLE, blocks)
 
 
@@ -224,7 +228,7 @@ def spectral_abscissa(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     M, cls = _metzler_classified(A)
     if cls.kind == IRREDUCIBLE:
         return _perron(M, tol, max_iter).abscissa
-    comps = cls.blocks if cls.blocks is not None else _strong_components(_edge_mask(M))[1]
+    comps = cls.blocks if cls.blocks is not None else cls._components
     return max(_perron(M[np.ix_(c, c)], tol, max_iter).abscissa for c in comps)
 
 

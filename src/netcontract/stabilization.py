@@ -41,7 +41,7 @@ class StabilizationResult:
     positive_gains: bool
     eigen_residual: float
     feasibility_residual: float
-    iterations: int  # Osborne sweeps of the balancing, summed over blocks
+    iterations: int  # Newton steps of the balancing, summed over blocks
     clamped: bool  # a balancing scaling entry hit SCALING_CLAMP
 
 

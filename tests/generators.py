@@ -32,6 +32,31 @@ def random_tridiagonal_metzler(rng, n, diag_low=-1.0, diag_high=1.0):
     return A
 
 
+def weighted_ring_metzler(rng, n):
+    """n-node ring, both directions of every edge weighted U(0.5, 1.5),
+    diagonal U(-1, 0.5); its diameter is n / 2."""
+    A = np.zeros((n, n))
+    i = np.arange(n)
+    A[i, (i + 1) % n] = rng.uniform(0.5, 1.5, n)
+    A[(i + 1) % n, i] = rng.uniform(0.5, 1.5, n)
+    A[i, i] = rng.uniform(-1.0, 0.5, n)
+    return A
+
+
+def grid_metzler(rng, side):
+    """Metzler matrix on a side x side grid: both directions of every edge
+    weighted U(0.5, 1.5), diagonal U(-1, 0.5)."""
+    n = side * side
+    idx = np.arange(n).reshape(side, side)
+    src = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    dst = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    A = np.zeros((n, n))
+    A[src, dst] = rng.uniform(0.5, 1.5, src.size)
+    A[dst, src] = rng.uniform(0.5, 1.5, src.size)
+    A[np.arange(n), np.arange(n)] = rng.uniform(-1.0, 0.5, n)
+    return A
+
+
 def random_connected_adjacency(rng, n):
     """Symmetric binary adjacency containing a random spanning tree."""
     M = np.zeros((n, n))

@@ -6,18 +6,24 @@ from numpy.testing import assert_allclose
 from netcontract.balancing import (
     BalanceConvergenceError,
     NotBalancableError,
+    _balance,
     balance,
     balance_tridiagonal,
     imbalance,
     potential,
 )
-from netcontract.metzler import classify
+from netcontract.metzler import IRREDUCIBLE, Classification, classify
 
 from generators import (
+    grid_metzler,
     metzler_matrices,
     random_irreducible_metzler,
     random_tridiagonal_metzler,
+    weighted_ring_metzler,
 )
+
+# A chain whose balancing scaling spans 200 decades.
+CHAIN_1E200 = np.array([[0.0, 1.0, 0.0], [1e200, 0.0, 1.0], [0.0, 1e200, 0.0]])
 
 
 class TestImbalance:
@@ -135,6 +141,48 @@ class TestBalance:
         assert imbalance(res.balanced) == res.residual
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNewtonBalancing:
+    """Inputs on which cyclic coordinate updates need thousands of sweeps or
+    overflow; each must converge without a numpy RuntimeWarning."""
+
+    def test_long_ring_within_50_steps(self):
+        A = weighted_ring_metzler(np.random.default_rng(10), 500)
+        res = balance(A)
+        assert res.residual <= 1e-10
+        assert 0 < res.iterations <= 50
+
+    def test_large_grid_within_50_steps(self):
+        A = grid_metzler(np.random.default_rng(11), 40)
+        res = balance(A)
+        assert res.residual <= 1e-10
+        assert 0 < res.iterations <= 50
+
+    def test_scaling_ratio_1e150(self):
+        # 1e-150 is below STRUCTURAL_ZERO, so `balance` calls this matrix
+        # reducible; the kernel is driven directly as if it were irreducible.
+        A = np.array([[0.0, 1e-150], [1e150, 0.0]])
+        d, _, clamped = _balance(A, Classification(IRREDUCIBLE), 1e-10, 100_000, None)
+        assert_allclose(d, [1.0, 1e150], rtol=1e-9)
+        assert not clamped
+
+    def test_chain_spanning_1e200(self):
+        res = balance(CHAIN_1E200)
+        assert_allclose(res.d, [1.0, 1e100, 1e200], rtol=1e-9)
+        assert res.residual <= 1e-10
+        assert not res.clamped
+
+    def test_overflowing_warm_start_raises(self):
+        with pytest.raises(BalanceConvergenceError) as info:
+            balance([[0.0, 1e10], [1.0, 0.0]], d0=[1e-150, 1e150])
+        assert info.value.residual == np.inf
+
+    def test_tight_tolerance_does_not_stall(self):
+        A = random_irreducible_metzler(np.random.default_rng(12), 200)
+        res = balance(A, tol=1e-12)
+        assert res.residual <= 1e-12
+
+
 class TestBalanceTridiagonal:
     def test_two_by_two(self):
         assert_allclose(balance_tridiagonal([[0.0, 2.0], [8.0, 0.0]]), [1.0, 2.0])
@@ -157,6 +205,10 @@ class TestBalanceTridiagonal:
         d_closed = balance_tridiagonal(A)
         d_iter = balance(A, tol=1e-13).d
         assert_allclose(d_iter, d_closed, rtol=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_chain_spanning_1e200_does_not_overflow(self):
+        assert_allclose(balance_tridiagonal(CHAIN_1E200), [1.0, 1e100, 1e200], rtol=1e-12)
 
     def test_structure_validation(self):
         with pytest.raises(ValueError):

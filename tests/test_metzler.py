@@ -231,6 +231,20 @@ class TestSpectralAbscissa:
         A = np.array([[1.0, 0.0], [1.0, -2.0]])
         assert_allclose(spectral_abscissa(A), 1.0, atol=1e-12)
 
+    def test_reducible_other_finds_components_once(self, monkeypatch):
+        calls = []
+        strong_components = netcontract.metzler._strong_components
+
+        def counting(mask):
+            calls.append(1)
+            return strong_components(mask)
+
+        monkeypatch.setattr(netcontract.metzler, "_strong_components", counting)
+        n = 2000
+        chain = np.diag(-np.linspace(1.0, 2.0, n)) + np.diag(np.ones(n - 1), -1)
+        assert spectral_abscissa(chain) == -1.0
+        assert len(calls) == 1
+
     def test_completely_reducible(self):
         A = np.zeros((4, 4))
         A[:2, :2] = [[-3, 1], [2, -2]]

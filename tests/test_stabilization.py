@@ -12,7 +12,7 @@ from netcontract.stabilization import (
     verify_optimality,
 )
 
-from generators import random_irreducible_metzler
+from generators import random_irreducible_metzler, weighted_ring_metzler
 
 FLOW = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -64,6 +64,16 @@ class TestFeasibilityAndResiduals:
         assert res.iterations == balance(w[:, None] * A).iterations
         assert res.iterations > 0
         assert res.clamped is False
+
+    def test_long_ring_bracket_on_target(self):
+        rng = np.random.default_rng(13)
+        A = weighted_ring_metzler(rng, 500)
+        w = rng.uniform(0.5, 2.0, size=500)
+        target = -1.0
+        res = minimal_effort_stabilize(A, w, target)
+        assert res.iterations <= 50
+        ratio = (A @ res.d_star - res.ell_star * res.d_star) / res.d_star
+        assert max(abs(ratio.min() - target), abs(ratio.max() - target)) <= 1e-8 * (1 + abs(target))
 
     def test_d_star_is_closed_loop_perron_vector(self):
         rng = np.random.default_rng(1)
