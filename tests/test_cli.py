@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,16 @@ class TestFhnCommands:
         assert m2["params"]["seed"] == 123
         assert m1["result"]["final_state"] != m2["result"]["final_state"]
 
+    def test_simulate_rejects_zero_period(self, capsys, tmp_path):
+        cfg = json.loads(FHN6.read_text())
+        cfg["input"] = {"kind": "sinusoid", "params": {"period": 0}}
+        bad = tmp_path / "zero_period.json"
+        bad.write_text(json.dumps(cfg))
+        code, manifest, err = run(capsys, "fhn", "simulate", "--config", str(bad),
+                                  "--t-end", "0.01")
+        assert code == 1 and manifest is None
+        assert "period" in err
+
     def test_bad_config_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -268,3 +279,13 @@ class TestUsage:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["d"] == [1.0, 1.0]
+
+    def test_module_entry_point_fhn_certify(self):
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run([sys.executable, "-m", "netcontract", "fhn", "certify",
+                               "--config", "configs/fhn6.json"],
+                              capture_output=True, text=True, cwd=REPO, env=env)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(proc.stdout)
+        assert manifest["subcommand"] == "fhn certify"
+        assert manifest["result"]["passed"] is True

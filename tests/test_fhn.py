@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
+    _closed_loop_field,
     FhnConfig,
     SinusoidInput,
     SpikeTrainInput,
@@ -177,6 +178,42 @@ class TestClosedLoopJacobian:
             assert matrix_measure(J, "two", scaling=t_scale) <= -0.05 + 1e-8
 
 
+class TestClosedLoopField:
+    @staticmethod
+    def _config():
+        gains = np.random.default_rng(4).uniform(5.0, 7.0, size=6)
+        spikes = SpikeTrainInput([0.0, 0.1, 0.4, 1.5], [0.0, 8.0, -1.0, 0.0])
+        return six_config(a=0.3, gamma=0.2, gains=gains, input=spikes)
+
+    def test_matches_term_by_term_equations(self):
+        # the module docstring's equations, written out per term
+        cfg = self._config()
+        L, ell = laplacian(SIX_RING), cfg.gains
+        a, b, c, gamma = cfg.a, cfg.b, cfg.c, cfg.gamma
+        f = _closed_loop_field(cfg)
+        rng = np.random.default_rng(5)
+        for x in (rng.uniform(-4, 4, size=12), rng.uniform(-4, 4, size=(3, 12))):
+            for t in (0.0, 0.05, 0.7, 2.3):
+                v, w = x[..., :6], x[..., 6:]
+                dv = c * (v + w - v ** 3 / 3.0 + cfg.input(t)) - gamma * (v @ L.T) - ell * v
+                dw = -(v - a + b * w) / c
+                ref = np.concatenate([dv, dw], axis=-1)
+                got = f(t, x)
+                assert got.shape == x.shape
+                assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_jacobian_matches_central_differences(self):
+        cfg = self._config()
+        f = _closed_loop_field(cfg)
+        h = 1e-6
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            x = rng.uniform(-2, 2, size=12)
+            steps = h * np.eye(12)  # row k perturbs coordinate k
+            fd = (f(0.3, x + steps) - f(0.3, x - steps)).T / (2.0 * h)
+            assert_allclose(closed_loop_jacobian(cfg, x), fd, rtol=1e-6, atol=1e-6)
+
+
 class TestSimulate:
     def test_origin_is_equilibrium_without_input(self):
         cfg = FhnConfig(adjacency=[[0.0]], a=0.0, input=ZeroInput(),
@@ -326,16 +363,32 @@ class TestInputs:
             SpikeTrainInput(times=[0.0, 1.0], values=[1.0])
 
     def test_json_round_trip(self):
-        for inp in (SinusoidInput(2.0, 3.0, 0.5),
-                    SpikeTrainInput([0.0, 0.3, 1.0], [1.0, -2.0, 1.0]),
-                    ZeroInput()):
+        cases = [
+            (SinusoidInput(2.0, 3.0, 0.5),
+             {"kind": "sinusoid", "params": {"offset": 2.0, "amplitude": 3.0, "period": 0.5}}),
+            (SpikeTrainInput([0.0, 0.3, 1.0], [1.0, -2.0, 1.0]),
+             {"kind": "spike_train",
+              "params": {"times": [0.0, 0.3, 1.0], "values": [1.0, -2.0, 1.0]}}),
+            (ZeroInput(), {"kind": "zero", "params": {"period": 1.0}}),
+        ]
+        for inp, expected in cases:
+            assert input_to_json(inp) == expected
             back = input_from_json(input_to_json(inp))
             assert type(back) is type(inp)
             assert_allclose(back(np.linspace(0, 2, 11)), inp(np.linspace(0, 2, 11)))
 
+    @pytest.mark.parametrize("period", [0, -1.0, float("nan"), float("inf"), "1"])
+    @pytest.mark.parametrize("kind", ["sinusoid", "zero"])
+    def test_period_must_be_finite_and_positive(self, kind, period):
+        with pytest.raises(ValueError, match="period"):
+            config_from_json({"adjacency": [[0]],
+                              "input": {"kind": kind, "params": {"period": period}}})
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown input kind"):
             input_from_json({"kind": "square_wave"})
+        with pytest.raises(TypeError, match="cannot serialize"):
+            input_to_json(object())
 
 
 class TestConfigJson:
