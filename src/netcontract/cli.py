@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -28,7 +29,7 @@ from netcontract.hierarchy import (
     synthesize_gains,
 )
 from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
-from netcontract.metzler import IRREDUCIBLE, MetzlerMatrix, norm_kind, spectral_abscissa
+from netcontract.metzler import IRREDUCIBLE, MetzlerMatrix, spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
 FEASIBILITY_TOL = 1e-8
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="netcontract",
                 description="Contraction certificates and minimum-effort gains "
@@ -55,6 +57,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--output", "--out", dest="output", help="write result JSON here")
     b.add_argument("--balanced-output", dest="balanced_output",
                    help="write the balanced matrix as CSV here")
+    b.set_defaults(handler=_cmd_balance)
 
     s = sub.add_parser("stabilize", help="minimum-effort diagonal stabilization")
     s.add_argument("--input", required=True, help="matrix file (Matrix Market or CSV)")
@@ -63,6 +66,7 @@ def _build_parser() -> _Parser:
                    help="target spectral abscissa of the closed loop")
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--output", "--out", dest="output", help="write result JSON here")
+    s.set_defaults(handler=_cmd_stabilize)
 
     bd = sub.add_parser("bound", help="block-reduced Metzler bound of a matrix")
     bd.add_argument("--input", required=True, help="matrix file (Matrix Market or CSV)")
@@ -73,6 +77,7 @@ def _build_parser() -> _Parser:
                          "(default: all 2)")
     bd.add_argument("--output", "--out", dest="output",
                     help="write the bound matrix as CSV here")
+    bd.set_defaults(handler=_cmd_bound)
 
     sy = sub.add_parser("synthesize", help="gains for a reduced Jacobian bound")
     sy.add_argument("--jhat", required=True,
@@ -82,6 +87,7 @@ def _build_parser() -> _Parser:
                     help="required contraction rate eta > 0")
     sy.add_argument("--tol", type=float, default=1e-10)
     sy.add_argument("--output", "--out", dest="output", help="write result JSON here")
+    sy.set_defaults(handler=_cmd_synthesize)
 
     f = sub.add_parser("fhn", help="FitzHugh-Nagumo network experiments")
     fsub = f.add_subparsers(dest="fhn_command", required=True)
@@ -92,14 +98,17 @@ def _build_parser() -> _Parser:
     fs.add_argument("--seed", type=int, help="override the config seed")
     fs.add_argument("--t-end", type=float, dest="t_end", help="override the horizon")
     fs.add_argument("--step", type=float, help="override the integration step")
+    fs.set_defaults(handler=_cmd_fhn_simulate)
 
     fc = fsub.add_parser("certify", help="check the contraction certificate")
     fc.add_argument("--config", required=True, help="network config JSON")
     fc.add_argument("--output", "--out", dest="output", help="write certificate JSON here")
+    fc.set_defaults(handler=_cmd_fhn_certify)
 
     fg = fsub.add_parser("gains", help="minimum-effort gains for the config's rate")
     fg.add_argument("--config", required=True, help="network config JSON")
     fg.add_argument("--output", "--out", dest="output", help="write gains JSON here")
+    fg.set_defaults(handler=_cmd_fhn_gains)
     return p
 
 
@@ -152,27 +161,18 @@ def _cmd_stabilize(args):
             {"target": args.target, "tol": args.tol}, result, code)
 
 
-def _parse_partition(args, n: int) -> BlockPartition:
+def _parse_partition(args) -> BlockPartition:
     try:
         sizes = tuple(int(s) for s in args.partition.split(","))
     except ValueError:
         raise ValueError(f"cannot parse partition {args.partition!r}") from None
-    if args.norms:
-        kinds = [norm_kind(k) for k in args.norms.split(",")]
-    else:
-        kinds = ["two"] * len(sizes)
-    if len(kinds) != len(sizes):
-        raise ValueError(f"{len(kinds)} norms given for {len(sizes)} blocks")
-    part = BlockPartition(sizes, tuple(BlockNorm(k) for k in kinds))
-    if part.total != n:
-        raise ValueError(f"partition covers {part.total} indices, matrix has {n}")
-    return part
+    kinds = args.norms.split(",") if args.norms else ["two"] * len(sizes)
+    return BlockPartition(sizes, tuple(BlockNorm(k) for k in kinds))
 
 
 def _cmd_bound(args):
     M = read_matrix(args.input)
-    part = _parse_partition(args, M.shape[0])
-    B = block_bound_matrix(M, part)
+    B = block_bound_matrix(M, _parse_partition(args))
     if args.output:
         write_matrix_csv(args.output, B)
     mm = MetzlerMatrix(B)
@@ -201,13 +201,8 @@ def _cmd_synthesize(args):
 
 def _cmd_fhn_simulate(args):
     config = fhn.load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if args.step is not None:
-        overrides["step"] = args.step
+    overrides = {k: getattr(args, k) for k in ("seed", "t_end", "step")
+                 if getattr(args, k) is not None}
     if overrides:
         config = dataclasses.replace(config, **overrides)
     traj = fhn.simulate(config)
@@ -246,32 +241,18 @@ def _cmd_fhn_gains(args):
             0 if cert.passed else 2)
 
 
-_HANDLERS = {
-    "balance": _cmd_balance,
-    "stabilize": _cmd_stabilize,
-    "bound": _cmd_bound,
-    "synthesize": _cmd_synthesize,
-    ("fhn", "simulate"): _cmd_fhn_simulate,
-    ("fhn", "certify"): _cmd_fhn_certify,
-    ("fhn", "gains"): _cmd_fhn_gains,
-}
-
-
 def dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
-    key = args.command if args.command != "fhn" else ("fhn", args.fhn_command)
-    handler = _HANDLERS[key]
-    name = key if isinstance(key, str) else " ".join(key)
+    name = args.command if args.command != "fhn" else f"fhn {args.fhn_command}"
     start = time.perf_counter()
     try:
-        inputs, params, result, code = handler(args)
+        inputs, params, result, code = args.handler(args)
     except (ValueError, RuntimeError, OSError, KeyError, json.JSONDecodeError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         print(f"error: {detail}", file=sys.stderr)

@@ -40,6 +40,21 @@ __all__ = [
 ]
 
 
+def _finite(name: str, value, positive: bool = False) -> None:
+    """Reject anything but a finite real number (a positive one if asked)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        kind = "positive" if positive else "real"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SinusoidInput:
     offset: float = 4.0
@@ -47,8 +62,9 @@ class SinusoidInput:
     period: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.period, numbers.Real) and 0 < self.period < math.inf):
-            raise ValueError(f"period must be a finite positive number, got {self.period!r}")
+        _finite("offset", self.offset)
+        _finite("amplitude", self.amplitude)
+        _finite("period", self.period, positive=True)
 
     def __call__(self, t):
         return self.offset + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t) / self.period)
@@ -84,8 +100,7 @@ class ZeroInput:
     period: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.period, numbers.Real) and 0 < self.period < math.inf):
-            raise ValueError(f"period must be a finite positive number, got {self.period!r}")
+        _finite("period", self.period, positive=True)
 
     def __call__(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -120,16 +135,15 @@ class FhnConfig:
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=float)
         laplacian(self.adjacency)  # validates shape and entries
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.b < 0:
-            raise ValueError("b must be nonnegative")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.step <= 0 or self.t_end <= 0:
-            raise ValueError("step and t_end must be positive")
+        for name in ("a", "b", "gamma", "eta"):
+            _finite(name, getattr(self, name))
+        for name in ("c", "t_end", "step"):
+            _finite(name, getattr(self, name), positive=True)
+        for name in ("b", "gamma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.gains is not None:
-            g = np.asarray(self.gains, dtype=float).ravel()
+            g = _float_array("gains", self.gains).ravel()
             if g.shape[0] != self.n_neurons:
                 raise ValueError(
                     f"gains have length {g.shape[0]}, expected {self.n_neurons}")
@@ -186,14 +200,17 @@ def scaled_state_norm(x, c: float) -> np.ndarray:
 
 
 def closed_loop_jacobian(config: FhnConfig, x) -> np.ndarray:
-    """Jacobian of the closed-loop field at state x (gains resolved)."""
+    """Jacobian of the closed-loop field at a state x of shape (2N,)."""
     n = config.n_neurons
-    v = np.asarray(x, dtype=float).ravel()[:n]
-    c = config.c
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * n,):
+        raise ValueError(f"x has shape {x.shape}, expected state dimension {2 * n}")
+    v = x[:n]
+    c, gamma, A = config.c, config.gamma, config.adjacency
     i = np.arange(n)
     J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = -config.gamma * laplacian(config.adjacency)
-    J[i, i] = c * (1.0 - v * v) + J[i, i] - resolved_gains(config)
+    J[:n, :n] = gamma * A
+    J[i, i] = c * (1.0 - v * v) - gamma * A.sum(axis=1) - resolved_gains(config)
     J[i, n + i] = c
     J[n + i, i] = -1.0 / c
     J[n + i, n + i] = -config.b / c
@@ -407,7 +424,11 @@ def input_from_json(obj) -> object:
     kind = obj.get("kind")
     if kind not in _INPUT_KINDS:
         raise ValueError(f"unknown input kind {kind!r}; expected one of {sorted(_INPUT_KINDS)}")
-    return _INPUT_KINDS[kind](**obj.get("params", {}))
+    cls, params = _INPUT_KINDS[kind], obj.get("params", {})
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {kind} input params {unknown}")
+    return cls(**params)
 
 
 def input_to_json(inp) -> dict:
@@ -419,7 +440,13 @@ def input_to_json(inp) -> dict:
 
 
 def config_from_json(obj: dict) -> FhnConfig:
-    adjacency = np.asarray(obj["adjacency"], dtype=float)
+    """FhnConfig from its JSON object: FhnConfig's fields plus an optional N."""
+    names = [f.name for f in fields(FhnConfig)]
+    unknown = sorted(set(obj) - {"N", *names})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    kwargs = {k: obj[k] for k in names if k in obj}
+    adjacency = _float_array("adjacency", obj["adjacency"])
     n = int(obj.get("N", adjacency.shape[0] if adjacency.ndim == 2 else 0) or 0)
     if adjacency.ndim == 1:
         if n <= 0 or adjacency.size != n * n:
@@ -428,30 +455,24 @@ def config_from_json(obj: dict) -> FhnConfig:
     if "N" in obj and int(obj["N"]) != adjacency.shape[0]:
         raise ValueError(
             f"N = {obj['N']} does not match adjacency of size {adjacency.shape[0]}")
-    gains = obj.get("gains", "auto")
+    kwargs["adjacency"] = adjacency
+    gains = kwargs.get("gains")
     if isinstance(gains, str):
         if gains != "auto":
             raise ValueError(f"gains must be 'auto' or a list, got {gains!r}")
-        gains = None
-    kwargs = {}
-    for key in ("a", "b", "c", "gamma", "eta", "seed", "t_end", "step"):
-        if key in obj:
-            kwargs[key] = obj[key]
-    if "input" in obj:
-        kwargs["input"] = input_from_json(obj["input"])
-    return FhnConfig(adjacency=adjacency, gains=gains, **kwargs)
+        kwargs["gains"] = None
+    if "input" in kwargs:
+        kwargs["input"] = input_from_json(kwargs["input"])
+    return FhnConfig(**kwargs)
 
 
 def config_to_json(config: FhnConfig) -> dict:
-    return {
-        "N": config.n_neurons,
-        "adjacency": config.adjacency.astype(int).tolist(),
-        "a": config.a, "b": config.b, "c": config.c,
-        "gamma": config.gamma, "eta": config.eta,
-        "gains": "auto" if config.gains is None else config.gains.tolist(),
-        "input": input_to_json(config.input),
-        "seed": config.seed, "t_end": config.t_end, "step": config.step,
-    }
+    """JSON object of a config; keys keep FhnConfig's field order after N."""
+    return {"N": config.n_neurons,
+            **{f.name: getattr(config, f.name) for f in fields(config)},
+            "adjacency": config.adjacency.astype(int).tolist(),
+            "gains": "auto" if config.gains is None else config.gains.tolist(),
+            "input": input_to_json(config.input)}
 
 
 def load_config(path) -> FhnConfig:

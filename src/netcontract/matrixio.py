@@ -39,9 +39,3 @@ def write_matrix_csv(path, M) -> None:
     """Write an array as headerless CSV; 1-D input becomes a single row."""
     np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=float)),
                delimiter=",", fmt=CSV_FLOAT_FMT)
-
-
-def write_vector_csv(path, v) -> None:
-    """Write a 1-D array as a single CSV column."""
-    arr = np.asarray(v, dtype=float).ravel()
-    np.savetxt(path, arr[:, None], delimiter=",", fmt=CSV_FLOAT_FMT)

@@ -256,7 +256,80 @@ class TestFhnCommands:
         assert code == 1 and "adjacency" in err
 
 
+class TestConfigErrors:
+    """Malformed configs exit 1 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"c": "6"}, "c must be"),
+        ({"eta": "0.05"}, "eta must be"),
+        ({"gains": {"a": 1}}, "gains must be"),
+        ({"input": {"kind": "sinusoid", "params": {"periode": 1.0}}}, "periode"),
+        ({"gamm": 5.0}, "gamm"),
+    ], ids=["c-string", "eta-string", "gains-dict", "input-param-typo", "key-typo"])
+    def test_rejected(self, capsys, tmp_path, edit, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(FHN6.read_text()), **edit}))
+        code, manifest, err = run(capsys, "fhn", "certify", "--config", str(bad))
+        assert code == 1 and manifest is None
+        assert err.startswith("error:") and named in err
+
+
+class TestManifestContract:
+    """Exact key sets of every subcommand's manifest; new keys are additive."""
+
+    RESULT_KEYS = {
+        "balance": {"balanced_output", "clamped", "d", "iterations", "output", "residual"},
+        "stabilize": {"achieved", "clamped", "cost", "d_star", "eigen_residual", "ell_star",
+                      "feasibility_residual", "iterations", "output", "positive_gains",
+                      "target"},
+        "bound": {"abscissa", "b", "imbalance", "output"},
+        "synthesize": {"closed_loop_abscissa", "cost", "output", "rate", "v_star"},
+        "fhn simulate": {"final_state", "n_neurons", "n_samples", "output", "t_end"},
+        "fhn certify": {"checks", "eta_certified", "eta_requested", "mu_scaled", "output",
+                        "passed"},
+        "fhn gains": {"certificate", "eta", "gains", "output"},
+    }
+    INPUT_KEYS = {
+        "balance": {"input"}, "stabilize": {"input", "weights"}, "bound": {"input"},
+        "synthesize": {"jhat", "weights"}, "fhn simulate": {"config"},
+        "fhn certify": {"config"}, "fhn gains": {"config"},
+    }
+    PARAM_KEYS = {
+        "balance": {"tol"}, "stabilize": {"target", "tol"}, "bound": {"norms", "partition"},
+        "synthesize": {"rate", "tol"}, "fhn simulate": {"seed", "step", "t_end"},
+        "fhn certify": {"eta"}, "fhn gains": {"eta"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(RESULT_KEYS))
+    def test_keys(self, capsys, tmp_path, flow_mtx, weights14, name):
+        jhat = tmp_path / "jhat.csv"
+        np.savetxt(jhat, [[1.0, 2.0, 0.0], [8.0, 1.0, 3.0], [0.0, 12.0, 1.0]], delimiter=",")
+        argv = {
+            "balance": ["--input", flow_mtx],
+            "stabilize": ["--input", flow_mtx, "--weights", weights14, "--target", "-1"],
+            "bound": ["--input", flow_mtx, "--partition", "1,1"],
+            "synthesize": ["--jhat", str(jhat), "--rate", "0.5"],
+            "fhn simulate": ["--config", str(FHN6), "--t-end", "0.01"],
+            "fhn certify": ["--config", str(FHN6)],
+            "fhn gains": ["--config", str(FHN6)],
+        }[name]
+        code, manifest, _ = run(capsys, *name.split(), *argv)
+        assert code == 0 and manifest["subcommand"] == name
+        assert set(manifest) == {"duration_s", "inputs", "params", "result",
+                                 "subcommand", "version"}
+        assert set(manifest["inputs"]) == self.INPUT_KEYS[name]
+        assert set(manifest["params"]) == self.PARAM_KEYS[name]
+        assert set(manifest["result"]) == self.RESULT_KEYS[name]
+
+
 class TestUsage:
+    def test_parser_built_once(self, capsys, flow_mtx):
+        netcontract.cli._build_parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "balance", "--input", flow_mtx)[0] == 0
+        info = netcontract.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_unknown_subcommand(self, capsys):
         code, manifest, err = run(capsys, "explode")
         assert code == 1 and manifest is None and "error:" in err

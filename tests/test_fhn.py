@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import netcontract.fhn
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
@@ -176,6 +178,20 @@ class TestClosedLoopJacobian:
         for state in traj.states[::200]:
             J = closed_loop_jacobian(cfg, state)
             assert matrix_measure(J, "two", scaling=t_scale) <= -0.05 + 1e-8
+
+    def test_rejects_other_state_shapes(self):
+        cfg = six_config()
+        for x in (np.zeros((3, 12)), np.zeros(7), np.zeros(13), np.zeros((12, 1))):
+            with pytest.raises(ValueError, match="state dimension"):
+                closed_loop_jacobian(cfg, x)
+
+    def test_explicit_gains_skip_laplacian(self, monkeypatch):
+        cfg = six_config(gains=np.full(6, 6.1))
+        calls = []
+        monkeypatch.setattr(netcontract.fhn, "laplacian",
+                            lambda adj: calls.append(1) or laplacian(adj))
+        closed_loop_jacobian(cfg, np.ones(12))
+        assert calls == []
 
 
 class TestClosedLoopField:
@@ -384,6 +400,12 @@ class TestInputs:
             config_from_json({"adjacency": [[0]],
                               "input": {"kind": kind, "params": {"period": period}}})
 
+    @pytest.mark.parametrize("param", ["offset", "amplitude"])
+    def test_sinusoid_levels_must_be_finite(self, param):
+        for value in ("4", float("nan")):
+            with pytest.raises(ValueError, match=param):
+                SinusoidInput(**{param: value})
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown input kind"):
             input_from_json({"kind": "square_wave"})
@@ -415,6 +437,20 @@ class TestConfigJson:
             config_from_json({"adjacency": [0, 1, 1, 0]})
         with pytest.raises(ValueError, match="auto"):
             config_from_json({"adjacency": [[0]], "gains": "default"})
+
+    def test_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown config keys.*gamm"):
+            config_from_json({"adjacency": [[0]], "gamm": 5.0})
+        with pytest.raises(ValueError, match="sinusoid.*periode"):
+            input_from_json({"kind": "sinusoid", "params": {"periode": 1.0}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("a", None), ("b", "2"), ("c", "6"), ("gamma", [0.1]), ("eta", float("nan")),
+        ("t_end", float("inf")), ("step", "0.1"), ("gains", {"a": 1}),
+    ])
+    def test_rejects_non_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            config_from_json({"adjacency": [[0]], key: value})
 
     def test_shipped_config_loads(self):
         from pathlib import Path

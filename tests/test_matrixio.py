@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv, write_vector_csv
+from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
 
 MM_COORDINATE = """%%MatrixMarket matrix coordinate real general
 % comment line
@@ -73,7 +73,7 @@ def test_vector_column_and_row(tmp_path):
 def test_vector_round_trip(tmp_path):
     v = np.array([1.0, -2.0 / 3.0, 1e-300, 4e250])
     path = tmp_path / "v.csv"
-    write_vector_csv(path, v)
+    write_matrix_csv(path, v)
     assert np.array_equal(read_vector(path), v)
 
 
