@@ -6,7 +6,8 @@ Metzler matrices admit a positive diagonal D with D^{-1} A D balanced.  The
 potential f(d) = sum_ij a_ij d_j / d_i is convex in x = log d and its
 minimizers are exactly the balancing scalings, so it is found by damped
 Newton steps on f(e^x) (Kalantari, Khachiyan and Shokoufandeh 1997; Cohen,
-Madry, Tsipras and Vladu 2017), matrix-free over the nonzero entries.  The
+Madry, Tsipras and Vladu 2017), matrix-free over the nonzero entries, which
+it takes from the off-diagonal CSR the public call builds once.  The
 potential is also a cheap independent optimality oracle.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from netcontract.metzler import (
     COMPLETELY_REDUCIBLE,
@@ -26,6 +28,7 @@ from netcontract.metzler import (
     _metzler_classified,
     _off_diagonal_min,
     _positive_vector,
+    _principal_blocks,
 )
 
 MAX_SWEEPS = 100_000  # cap on Newton steps (``max_sweeps``)
@@ -102,15 +105,18 @@ def _pcg(hess, b: np.ndarray, m: np.ndarray, rtol: float, max_iter: int) -> np.n
     return x
 
 
-def _balance_block(off: np.ndarray, tol: float, max_steps: int,
+def _balance_block(off: scipy.sparse.csr_array, tol: float, max_steps: int,
                    x0: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton on f(x) = sum_ij off_ij e^(x_j - x_i), x = log d, for an
-    irreducible zero-diagonal block: (x, Newton steps, clamped)."""
+    """Damped Newton on f(x) = sum_ij off_ij e^(x_j - x_i), x = log d, for the
+    off-diagonal CSR of an irreducible block: (x, Newton steps, clamped)."""
     n = off.shape[0]
     if n == 1:
         return np.zeros(1), 0, False
-    rows, cols = np.nonzero(off > 0.0)
-    log_a = np.log(off[rows, cols])
+    # The positive entries only: f has no term for a zero or negative one.
+    keep = off.data > 0.0
+    rows = np.repeat(np.arange(n), np.diff(off.indptr))[keep]
+    cols = off.indices[keep]
+    log_a = np.log(off.data[keep])
     lo, hi = np.log(SCALING_CLAMP)
 
     def clamp(x):
@@ -166,20 +172,20 @@ def _balance_block(off: np.ndarray, tol: float, max_steps: int,
         f"steps (current imbalance {residual:.3e})", residual)
 
 
-def _balance(off: np.ndarray, cls: Classification, tol: float, max_sweeps: int,
-             d0) -> tuple[np.ndarray, int, bool]:
-    """Balancing scaling of a zero-diagonal irreducible or completely reducible
-    Metzler matrix: (d, total Newton steps, clamped), each block's d led by 1."""
+def _balance(off: scipy.sparse.csr_array, cls: Classification, tol: float,
+             max_sweeps: int, d0) -> tuple[np.ndarray, int, bool]:
+    """Balancing scaling of the off-diagonal CSR of an irreducible or completely
+    reducible Metzler matrix: (d, total Newton steps, clamped), each block's d
+    led by 1."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = off.shape[0]
     start = np.zeros(n) if d0 is None else np.log(_positive_vector(d0, n, "d0"))
-    blocks = [slice(None)] if cls.kind == IRREDUCIBLE else [list(b) for b in cls.blocks]
+    blocks = [np.arange(n)] if cls.kind == IRREDUCIBLE else [np.array(b) for b in cls.blocks]
     d = np.empty(n)
     iterations = 0
     clamped = False
-    for block in blocks:
-        sub = off if len(blocks) == 1 else off[np.ix_(block, block)]
+    for block, sub in zip(blocks, _principal_blocks(off, blocks)):
         bx, steps, bclamped = _balance_block(sub, tol, max_sweeps, start[block])
         d[block] = np.exp(bx - bx[0])
         iterations += steps
@@ -196,27 +202,29 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
     of the scaled off-diagonal part.  Each step solves with the Hessian, a
     weighted graph Laplacian, by Jacobi-preconditioned conjugate gradients
     over the nonzero entries, and is halved until it lowers f or the
-    imbalance.  The nonzeros are held as (row, column, log entry) triplets,
-    about three words per nonzero on top of the input.  Completely reducible
-    input is balanced block by block (each block's leading scaling entry is
-    normalized to 1).  Convergence means imbalance <= tol; ``max_sweeps``
-    caps the Newton steps (``iterations`` counts them), and exceeding it or
-    stalling raises BalanceConvergenceError with the last residual.
+    imbalance.  The nonzeros come from one off-diagonal CSR (about two words
+    per nonzero) and are held as (row, column, log entry) triplets, about
+    three words per nonzero more.  Completely reducible input is balanced
+    block by block (each block's leading scaling entry is normalized to 1).
+    Convergence means imbalance <= tol; ``max_sweeps`` caps the Newton steps
+    (``iterations`` counts them), and exceeding it or stalling raises
+    BalanceConvergenceError with the last residual.
     """
-    M, cls = _metzler_classified(A)
+    M, cls, off = _metzler_classified(A)
     if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
         raise NotBalancableError(
             f"matrix is {cls.kind}: balancing requires an irreducible or "
             "completely reducible Metzler matrix")
-    off = M.copy()
-    np.fill_diagonal(off, 0.0)
     d, iterations, clamped = _balance(off, cls, tol, max_sweeps, d0)
-    # Scale the off-diagonal part in place, take the residual from its sums,
-    # then restore the diagonal, which the similarity leaves unchanged.
-    off *= d[None, :] / d[:, None]
-    residual = _imbalance(off.sum(axis=1), off.sum(axis=0))
-    np.fill_diagonal(off, np.diag(M))
-    return BalancingResult(d=d, balanced=off, iterations=iterations,
+    # The dense result: scale the off-diagonal part in place, take the
+    # residual from its sums, then restore the diagonal, which the similarity
+    # leaves unchanged.
+    balanced = M.copy()
+    np.fill_diagonal(balanced, 0.0)
+    balanced *= d[None, :] / d[:, None]
+    residual = _imbalance(balanced.sum(axis=1), balanced.sum(axis=0))
+    np.fill_diagonal(balanced, np.diag(M))
+    return BalancingResult(d=d, balanced=balanced, iterations=iterations,
                            residual=residual, clamped=clamped)
 
 

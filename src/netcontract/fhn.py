@@ -48,6 +48,13 @@ def _finite(name: str, value, positive: bool = False) -> None:
         raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
 
 
+def _integer(name: str, value) -> int:
+    """Reject anything but an integer (bool included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _float_array(name: str, value) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
@@ -135,6 +142,7 @@ class FhnConfig:
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=float)
         laplacian(self.adjacency)  # validates shape and entries
+        self.seed = _integer("seed", self.seed)
         for name in ("a", "b", "gamma", "eta"):
             _finite(name, getattr(self, name))
         for name in ("c", "t_end", "step"):
@@ -421,10 +429,14 @@ _INPUT_KINDS = {"sinusoid": SinusoidInput, "spike_train": SpikeTrainInput, "zero
 
 
 def input_from_json(obj) -> object:
+    if not isinstance(obj, dict):
+        raise ValueError(f"input must be an object with a kind, got {obj!r}")
     kind = obj.get("kind")
     if kind not in _INPUT_KINDS:
         raise ValueError(f"unknown input kind {kind!r}; expected one of {sorted(_INPUT_KINDS)}")
     cls, params = _INPUT_KINDS[kind], obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} input params must be an object, got {params!r}")
     unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {kind} input params {unknown}")
@@ -441,20 +453,21 @@ def input_to_json(inp) -> dict:
 
 def config_from_json(obj: dict) -> FhnConfig:
     """FhnConfig from its JSON object: FhnConfig's fields plus an optional N."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
     names = [f.name for f in fields(FhnConfig)]
     unknown = sorted(set(obj) - {"N", *names})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
     kwargs = {k: obj[k] for k in names if k in obj}
     adjacency = _float_array("adjacency", obj["adjacency"])
-    n = int(obj.get("N", adjacency.shape[0] if adjacency.ndim == 2 else 0) or 0)
+    n = _integer("N", obj["N"]) if "N" in obj else None
     if adjacency.ndim == 1:
-        if n <= 0 or adjacency.size != n * n:
+        if n is None or n <= 0 or adjacency.size != n * n:
             raise ValueError("flat adjacency requires N with N*N entries")
         adjacency = adjacency.reshape(n, n)
-    if "N" in obj and int(obj["N"]) != adjacency.shape[0]:
-        raise ValueError(
-            f"N = {obj['N']} does not match adjacency of size {adjacency.shape[0]}")
+    if n is not None and adjacency.shape[:1] != (n,):
+        raise ValueError(f"N = {n} does not match adjacency of shape {adjacency.shape}")
     kwargs["adjacency"] = adjacency
     gains = kwargs.get("gains")
     if isinstance(gains, str):

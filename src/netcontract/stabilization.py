@@ -9,6 +9,12 @@ bound alpha(C) <= max_i (C d)_i / d_i, valid for every Metzler C and d > 0,
 so the closed loop is never solved again.  Also provides the
 marginal-stability certificate (a positive d with A d <= 0) and an
 a-posteriori optimality checker.
+
+Each public call builds the off-diagonal part of its matrix once, as a CSR
+array of about two words per nonzero, and no n x n array after that: the
+balancing triplets, the Perron iteration and every residual mat-vec come
+from it, with the diagonal applied as a vector, so a mat-vec costs
+O(nnz + n).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from netcontract.balancing import MAX_SWEEPS, _balance, _imbalance
 from netcontract.metzler import (
@@ -68,15 +75,17 @@ class OptimalityReport:
         return self.feasible and self.balanced_ok and self.eigen_ok
 
 
-def _stabilize(M: np.ndarray, cls: Classification, w, target: float, tol: float,
-               max_sweeps: int, d0) -> StabilizationResult:
+def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, w,
+               target: float, tol: float, max_sweeps: int, d0) -> StabilizationResult:
     """Gains from the balancing of diag(w) M, for validated irreducible or
-    completely reducible M; every block is driven to the same target."""
+    completely reducible M with off-diagonal CSR ``off``; every block is
+    driven to the same target."""
     w = _positive_vector(w, M.shape[0], "w")
-    off = w[:, None] * M
-    np.fill_diagonal(off, 0.0)
-    d, iterations, clamped = _balance(off, cls, tol, max_sweeps, d0)
-    md = M @ d
+    # diag(w) off: each stored entry scaled by its row's weight.
+    weighted = off.copy()
+    weighted.data *= np.repeat(w, np.diff(off.indptr))
+    d, iterations, clamped = _balance(weighted, cls, tol, max_sweeps, d0)
+    md = off @ d + np.diag(M) * d
     ell = md / d - target
     cd = md - ell * d
     achieved = float(np.max(cd / d))
@@ -102,12 +111,12 @@ def minimal_effort_stabilize(A, w, target: float, tol: float = DEFAULT_TOL,
     Raises NonIrreducibleError for non-irreducible input; completely reducible
     matrices decompose into independent per-block problems (stabilize_blocks).
     """
-    M, cls = _metzler_classified(A)
+    M, cls, off = _metzler_classified(A)
     if cls.kind != IRREDUCIBLE:
         raise NonIrreducibleError(
             f"minimal_effort_stabilize requires an irreducible matrix (got "
             f"{cls.kind}); use stabilize_blocks for completely reducible input")
-    return _stabilize(M, cls, w, target, tol, max_sweeps, d0)
+    return _stabilize(M, cls, off, w, target, tol, max_sweeps, d0)
 
 
 def stabilize_blocks(A, w, target: float, tol: float = DEFAULT_TOL,
@@ -118,12 +127,12 @@ def stabilize_blocks(A, w, target: float, tol: float = DEFAULT_TOL,
     to the same target, so the concatenated d remains a Perron eigenvector of
     the block-diagonal closed loop.
     """
-    M, cls = _metzler_classified(A)
+    M, cls, off = _metzler_classified(A)
     if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
         raise NonIrreducibleError(
             f"stabilize_blocks requires an irreducible or completely reducible "
             f"matrix, got {cls.kind}")
-    return _stabilize(M, cls, w, target, tol, max_sweeps, None)
+    return _stabilize(M, cls, off, w, target, tol, max_sweeps, None)
 
 
 def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabilityResult:
@@ -134,13 +143,14 @@ def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabi
     exists.  Only a d with A d <= 0 in every entry is certified; the reported
     abscissa is the Collatz-Wielandt bound max_i (A d)_i / d_i >= alpha(A).
     """
-    M, cls = _metzler_classified(A)
+    M, cls, off = _metzler_classified(A)
     if cls.kind != IRREDUCIBLE:
         raise NonIrreducibleError(
             f"marginal_stability_certificate requires an irreducible matrix, "
             f"got {cls.kind}")
-    d = _perron(M, tol, DEFAULT_MAX_ITER).eigenvector
-    slack = M @ d
+    diag = np.diag(M)
+    d = _perron(off, diag, tol, DEFAULT_MAX_ITER).eigenvector
+    slack = off @ d + diag * d
     abscissa = float(np.max(slack / d))
     if np.all(slack <= 0.0):
         return MarginalStabilityResult(True, abscissa, d, slack)
@@ -156,7 +166,7 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     are reported; `optimal` requires feasibility plus both conditions.
     Feasibility is judged on the Collatz-Wielandt upper bound from d.
     """
-    M, cls = _metzler_classified(A)
+    M, cls, off = _metzler_classified(A)
     if cls.kind != IRREDUCIBLE:
         raise NonIrreducibleError(
             f"verify_optimality requires an irreducible matrix, got {cls.kind}")
@@ -165,16 +175,16 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     ell = np.asarray(ell, dtype=float).ravel()
     if ell.shape[0] != n:
         raise ValueError(f"ell has length {ell.shape[0]}, expected {n}")
-    # The one working copy: the closed loop, then its off-diagonal part.
-    work = M.copy()
-    np.fill_diagonal(work, np.diag(M) - ell)
-    d = _perron(work, DEFAULT_TOL, DEFAULT_MAX_ITER).eigenvector
-    cd = work @ d
+    # The closed loop C = A - diag(ell) is the CSR off-diagonal part of A and
+    # the diagonal vector diag(A) - ell; no n x n working copy is made.
+    diag = np.diag(M) - ell
+    d = _perron(off, diag, DEFAULT_TOL, DEFAULT_MAX_ITER).eigenvector
+    od = off @ d
+    cd = od + diag * d
     abscissa = float(np.max(cd / d))
     feasible = abscissa <= target + tol * (1.0 + abs(target))
-    np.fill_diagonal(work, 0.0)
     # Off-diagonal row and column sums of diag(w) D^{-1} C D from two mat-vecs.
-    balanced_residual = _imbalance(w * (work @ d) / d, d * (work.T @ (w / d)))
+    balanced_residual = _imbalance(w * od / d, d * (off.T @ (w / d)))
     eigen_residual = float(np.max(np.abs(cd - target * d)) / np.max(d))
     return OptimalityReport(
         feasible=bool(feasible),

@@ -12,7 +12,7 @@ from netcontract.balancing import (
     imbalance,
     potential,
 )
-from netcontract.metzler import IRREDUCIBLE, Classification, classify
+from netcontract.metzler import IRREDUCIBLE, Classification, _off_diagonal, classify
 
 from generators import (
     grid_metzler,
@@ -162,7 +162,8 @@ class TestNewtonBalancing:
         # 1e-150 is below STRUCTURAL_ZERO, so `balance` calls this matrix
         # reducible; the kernel is driven directly as if it were irreducible.
         A = np.array([[0.0, 1e-150], [1e150, 0.0]])
-        d, _, clamped = _balance(A, Classification(IRREDUCIBLE), 1e-10, 100_000, None)
+        d, _, clamped = _balance(_off_diagonal(A), Classification(IRREDUCIBLE), 1e-10,
+                                 100_000, None)
         assert_allclose(d, [1.0, 1e150], rtol=1e-9)
         assert not clamped
 

@@ -265,7 +265,12 @@ class TestConfigErrors:
         ({"gains": {"a": 1}}, "gains must be"),
         ({"input": {"kind": "sinusoid", "params": {"periode": 1.0}}}, "periode"),
         ({"gamm": 5.0}, "gamm"),
-    ], ids=["c-string", "eta-string", "gains-dict", "input-param-typo", "key-typo"])
+        ({"seed": "7"}, "seed must be"),
+        ({"input": "sinusoid"}, "input must be"),
+        ({"input": {"kind": "sinusoid", "params": ["period"]}}, "params must be"),
+        ({"N": [6]}, "N must be"),
+    ], ids=["c-string", "eta-string", "gains-dict", "input-param-typo", "key-typo",
+            "seed-string", "input-string", "params-list", "n-list"])
     def test_rejected(self, capsys, tmp_path, edit, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**json.loads(FHN6.read_text()), **edit}))

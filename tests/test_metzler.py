@@ -210,6 +210,30 @@ class TestPerronPair:
             ref = np.max(np.linalg.eigvals(A).real)
             assert_allclose(pair.abscissa, ref, atol=1e-9, rtol=1e-9)
 
+    def test_bracket_contains_abscissa(self):
+        rng = np.random.default_rng(3)
+        cases = [random_irreducible_metzler(rng, n) for n in (2, 3, 5, 17, 60, 200)]
+        cases.append(random_irreducible_metzler(rng, 300, density=0.02))
+        # A nearly reducible 8-cycle: the link closing it is 1e-6, so the
+        # residual test stops with the abscissa 1.2e-8 off, far beyond tol.
+        cycle_rng = np.random.default_rng(2)
+        i = np.arange(8)
+        cycle = np.zeros((8, 8))
+        cycle[(i + 1) % 8, i] = cycle_rng.uniform(0.5, 1.5, 8)
+        cycle[0, 7] = 1e-6
+        cycle[i, i] = cycle_rng.uniform(-1.0, 0.5, 8)
+        cases.append(cycle)
+        for A in cases:
+            pair = perron_pair(A, tol=1e-10)
+            lo, hi = pair.bracket
+            alpha = np.max(np.linalg.eigvals(A).real)
+            # Rounding of the shifted mat-vec, gamma_n times its size.
+            n = A.shape[0]
+            slack = 2 * n * np.finfo(float).eps * (1 + 2 * np.abs(A).sum(axis=1).max())
+            assert lo - slack <= alpha <= hi + slack
+            assert lo - slack <= pair.abscissa <= hi + slack
+        assert abs(pair.abscissa - alpha) > 1e-9
+
     def test_requires_irreducible(self):
         with pytest.raises(NonIrreducibleError):
             perron_pair(np.eye(2))
@@ -220,6 +244,7 @@ class TestPerronPair:
         pair = perron_pair([[-2.5]])
         assert pair.abscissa == -2.5
         assert pair.eigenvector[0] == 1.0
+        assert pair.bracket == (-2.5, -2.5)
 
 
 class TestSpectralAbscissa:
