@@ -26,7 +26,6 @@ from netcontract.metzler import (
     Classification,
     _as_square,
     _metzler_classified,
-    _off_diagonal_min,
     _positive_vector,
     _principal_blocks,
 )
@@ -229,17 +228,17 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
 
 
 def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
-        raise ValueError("not a Metzler matrix: negative off-diagonal entry")
-    n = M.shape[0]
-    band = np.tril(np.triu(M, -1), 1)
-    if n > 2 and float(np.max(np.abs(M - band))) > STRUCTURAL_ZERO:
-        raise ValueError("matrix has entries outside the tridiagonal bands")
-    if n == 1:
+    if M.shape[0] == 1:
         return np.empty(0), np.empty(0)
-    sub = np.diag(M, -1).astype(float)
-    sup = np.diag(M, 1).astype(float)
-    if float(np.min(sub)) <= STRUCTURAL_ZERO or float(np.min(sup)) <= STRUCTURAL_ZERO:
+    sub, sup = np.diag(M, -1), np.diag(M, 1)
+    # Off-band entries are rejected by magnitude, so the bands' signs decide
+    # the Metzler test.
+    lowest = min(float(np.min(sub)), float(np.min(sup)))
+    if lowest < -STRUCTURAL_ZERO:
+        raise ValueError("not a Metzler matrix: negative off-diagonal entry")
+    if float(np.max(np.abs(M - np.tril(np.triu(M, -1), 1)))) > STRUCTURAL_ZERO:
+        raise ValueError("matrix has entries outside the tridiagonal bands")
+    if lowest <= STRUCTURAL_ZERO:
         raise ValueError(
             "zero sub- or super-diagonal entry: tridiagonal matrix is reducible")
     return sub, sup

@@ -261,7 +261,8 @@ def synthesize_gains(j_hat, w, eta: float, tol: float = DEFAULT_TOL) -> GainSynt
     """
     J = _unwrap(j_hat)
     _check_hypothesis(J, eta)
-    res = minimal_effort_stabilize(J, w, target=-float(eta), tol=tol)
+    res = minimal_effort_stabilize(j_hat if isinstance(j_hat, MetzlerMatrix) else J,
+                                   w, target=-float(eta), tol=tol)
     return GainSynthesisResult(v_star=res.ell_star, rate=float(eta),
                                cost=res.cost, closed_loop_abscissa=res.achieved)
 

@@ -19,6 +19,9 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline()
     if head.startswith("%%MatrixMarket"):
+        rows, cols = scipy.io.mminfo(path)[:2]
+        if rows == 0 or cols == 0:  # scipy's reader can die of SIGFPE on these
+            return np.empty((rows, cols))
         M = scipy.io.mmread(path)
         if scipy.sparse.issparse(M):
             M = M.toarray()

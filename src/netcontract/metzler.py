@@ -3,14 +3,14 @@
 Sign-pattern validation, directed-graph classification (irreducible /
 completely reducible / other), spectral abscissa and Perron pairs via power
 iteration, and matrix measures (logarithmic norms) with optional diagonal
-scaling.  The iteration runs on the off-diagonal part held once per call in
-CSR form, so a step costs O(nnz + n), not O(n^2).
+scaling.  Each public call scans its matrix once, into the off-diagonal CSR
+(a MetzlerMatrix caches its own), the only picture of the graph: an edge is
+an entry above STRUCTURAL_ZERO.  A Perron step costs O(nnz + n), not O(n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -42,18 +42,9 @@ class NoConvergenceError(RuntimeError):
 
 def _as_square(A) -> np.ndarray:
     M = A.entries if isinstance(A, MetzlerMatrix) else np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
     return M
-
-
-def _off_diagonal_min(M: np.ndarray) -> float:
-    n = M.shape[0]
-    if n == 1:
-        return 0.0
-    # Flattened, the entries after each diagonal entry up to the next one
-    # form the rows of an (n-1) x (n+1) view whose last column is diagonal.
-    return float(M.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].min())
 
 
 def _positive_vector(v, n: int, name: str) -> np.ndarray:
@@ -65,26 +56,21 @@ def _positive_vector(v, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _edge_mask(M: np.ndarray) -> np.ndarray:
-    """Edge j -> i whenever off-diagonal entry (i, j) is structurally positive."""
-    mask = M > STRUCTURAL_ZERO
-    np.fill_diagonal(mask, False)
-    return mask
+def _strongly_connected(edges: scipy.sparse.csr_array) -> bool:
+    """Whether node 0 reaches every node and every node reaches node 0, for
+    edges at the positive entries: a breadth-first search from node 0 along
+    the edges, then along the reversed edges, one sparse mat-vec per level."""
+    for step in (edges, edges.T):
+        frontier = seen = np.arange(edges.shape[0]) == 0
+        while frontier.any():
+            frontier = (step @ frontier.astype(float) > 0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
-def _reaches_all(mask: np.ndarray) -> bool:
-    """Whether a breadth-first search from node 0, stepping from i to every j
-    with mask[i, j], reaches every node.  Each level ORs the frontier's rows."""
-    seen = np.zeros(mask.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen
-    while frontier.any():
-        frontier = mask[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
-
-
-def _strong_components(mask: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+def _strong_components(edges) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """Strong-component label of each node, and the components as sorted
     index tuples ordered by their smallest member."""
     # Imported here, not at module level: scipy.sparse.csgraph adds about
@@ -92,7 +78,7 @@ def _strong_components(mask: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, .
     import scipy.sparse.csgraph
 
     _, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(mask), directed=True, connection="strong")
+        edges, directed=True, connection="strong")
     order = np.argsort(labels, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     return labels, tuple(sorted((tuple(c.tolist()) for c in comps), key=lambda c: c[0]))
@@ -119,48 +105,60 @@ class Classification:
         return self.kind
 
 
+def _classify(off: scipy.sparse.csr_array) -> Classification:
+    """Classification of a square matrix from its off-diagonal CSR: the
+    graph has an edge at each entry above STRUCTURAL_ZERO."""
+    # An implicit zero of the CSR cannot fail the sign test.
+    if off.nnz and off.data.min() < -STRUCTURAL_ZERO:
+        return Classification(NOT_METZLER)
+    keep = off.data > STRUCTURAL_ZERO
+    # Weight 1 on edges, 0 on other stored entries; off's index arrays are
+    # shared, so nothing here may write to them.
+    if _strongly_connected(scipy.sparse.csr_array(
+            (keep.astype(float), off.indices, off.indptr), shape=off.shape)):
+        return Classification(IRREDUCIBLE)
+    rows = np.repeat(np.arange(off.shape[0]), np.diff(off.indptr))[keep]
+    cols = off.indices[keep]
+    # csgraph counts a stored zero as an edge, so it gets the edges alone.
+    labels, blocks = _strong_components(scipy.sparse.csr_matrix(
+        (np.ones(cols.size), (rows, cols)), shape=off.shape))
+    if np.any(labels[rows] != labels[cols]):
+        return Classification(REDUCIBLE_OTHER, _components=blocks)
+    return Classification(COMPLETELY_REDUCIBLE, blocks)
+
+
 def classify(A) -> Classification:
     """Classify the sign/graph structure of a square matrix.
 
     Total function: non-Metzler input yields kind ``"not_metzler"`` rather
-    than an error.  A matrix is completely reducible when no edge joins two
-    distinct strongly connected components, i.e. it is block-diagonal over
-    its components up to a symmetric permutation.
+    than an error.  Edges are the off-diagonal entries above
+    ``STRUCTURAL_ZERO``.  A matrix is completely reducible when no edge joins
+    two distinct strongly connected components, i.e. it is block-diagonal
+    over its components up to a symmetric permutation.
     """
-    M = _as_square(A)
-    if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
-        return Classification(NOT_METZLER)
-    mask = _edge_mask(M)
-    if _reaches_all(mask) and _reaches_all(mask.T):
-        return Classification(IRREDUCIBLE)
-    labels, blocks = _strong_components(mask)
-    rows, cols = np.nonzero(mask)
-    if np.any(labels[rows] != labels[cols]):
-        return Classification(REDUCIBLE_OTHER, _components=blocks)
-    return Classification(COMPLETELY_REDUCIBLE, blocks)
+    if isinstance(A, MetzlerMatrix):
+        return A.classification
+    return _classify(_off_diagonal(_as_square(A)))
 
 
 class MetzlerMatrix:
     """Immutable dense square matrix with a validated Metzler sign pattern.
 
     Off-diagonal entries must be nonnegative up to ``STRUCTURAL_ZERO`` noise.
-    The graph classification is computed on first use and cached.
+    The off-diagonal CSR is built once, here, and cached read-only next to
+    the graph classification read from its entries above ``STRUCTURAL_ZERO``;
+    every public call given this matrix uses both.
     """
 
     def __init__(self, entries):
-        M = _as_square(entries).copy()
-        if _off_diagonal_min(M) < -STRUCTURAL_ZERO:
-            raise ValueError("not a Metzler matrix: negative off-diagonal entry")
-        M.setflags(write=False)
+        M, self.classification, self._off = _metzler_classified(_as_square(entries).copy())
+        for arr in (M, self._off.data, self._off.indices, self._off.indptr):
+            arr.setflags(write=False)
         self.entries = M
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def classification(self) -> Classification:
-        return classify(self.entries)
 
     def __repr__(self) -> str:
         return f"MetzlerMatrix(n={self.n}, {self.classification})"
@@ -181,11 +179,9 @@ def _off_diagonal(M: np.ndarray) -> scipy.sparse.csr_array:
 
 
 def _principal_blocks(off: scipy.sparse.csr_array, blocks) -> list:
-    """off[b][:, b] for each index array b of a partition of the nodes, cut as
-    contiguous slices of one symmetrically permuted copy, since a
-    fancy-indexed copy per block costs several slices when blocks are many
-    and small.  A 1 x 1 block has no off-diagonal entry; all of them share
-    one empty matrix."""
+    """off[b][:, b] for each index array b of a partition of the nodes: slices
+    of one symmetrically permuted copy (a copy per block costs several when
+    blocks are many and small), 1 x 1 blocks sharing one empty matrix."""
     if len(blocks) == 1:
         return [off]
     order = np.concatenate(blocks)
@@ -200,13 +196,13 @@ def _metzler_classified(A) -> tuple[np.ndarray, Classification, scipy.sparse.csr
     """Validated entries, classification and off-diagonal CSR of a public
     call's matrix argument."""
     if isinstance(A, MetzlerMatrix):
-        M, cls = A.entries, A.classification
-    else:
-        M = _as_square(A)
-        cls = classify(M)
-        if cls.kind == NOT_METZLER:
-            raise ValueError("not a Metzler matrix: negative off-diagonal entry")
-    return M, cls, _off_diagonal(M)
+        return A.entries, A.classification, A._off
+    M = _as_square(A)
+    off = _off_diagonal(M)
+    cls = _classify(off)
+    if cls.kind == NOT_METZLER:
+        raise ValueError("not a Metzler matrix: negative off-diagonal entry")
+    return M, cls, off
 
 
 @dataclass(frozen=True)

@@ -212,12 +212,22 @@ class TestBalanceTridiagonal:
         assert_allclose(balance_tridiagonal(CHAIN_1E200), [1.0, 1e100, 1e200], rtol=1e-12)
 
     def test_structure_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the tridiagonal bands"):
             balance_tridiagonal([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reducible"):
             balance_tridiagonal([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a Metzler matrix"):
             balance_tridiagonal([[0.0, -2.0], [8.0, 0.0]])
+
+    def test_sign_checked_on_the_bands(self):
+        # A negative band entry fails the Metzler test; a negative entry off
+        # the bands is rejected by its magnitude, as any off-band entry is.
+        with pytest.raises(ValueError, match="not a Metzler matrix"):
+            balance_tridiagonal([[0.0, 1.0, 0.0], [1.0, 0.0, -3.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="outside the tridiagonal bands"):
+            balance_tridiagonal([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="reducible"):
+            balance_tridiagonal([[0.0, -1e-15], [8.0, 0.0]])
 
 
 class TestPotential:

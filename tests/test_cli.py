@@ -108,6 +108,16 @@ class TestStabilizeCommand:
         assert code == 1 and manifest is None
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("banner", ["coordinate real general\n0 0 0",
+                                        "array real general\n0 0"])
+    def test_empty_input_rejected(self, capsys, tmp_path, banner):
+        mat = tmp_path / "empty.mtx"
+        mat.write_text(f"%%MatrixMarket matrix {banner}\n")
+        code, manifest, err = run(capsys, "stabilize", "--input", str(mat),
+                                  "--target", "-1")
+        assert code == 1 and manifest is None
+        assert err == "error: expected a non-empty square matrix, got shape (0, 0)\n"
+
     def test_reducible_input_rejected(self, capsys, tmp_path):
         mat = tmp_path / "red.csv"
         np.savetxt(mat, [[-1.0, 0.0], [0.0, -2.0]], delimiter=",")
@@ -135,21 +145,31 @@ class TestBoundCommand:
         assert_allclose(manifest["result"]["abscissa"], spectral_abscissa(B), atol=1e-12)
 
     def test_bound_classified_once(self, capsys, tmp_path, monkeypatch):
+        # The CLI builds one MetzlerMatrix, which classifies from its cached
+        # off-diagonal CSR through the private _classify.
         seen = []
-        classify = netcontract.metzler.classify
+        classify = netcontract.metzler._classify
 
-        def counting(A):
+        def counting(off):
             seen.append(1)
-            return classify(A)
+            return classify(off)
 
-        monkeypatch.setattr(netcontract.metzler, "classify", counting)
-        monkeypatch.setattr(netcontract.cli, "classify", counting, raising=False)
+        monkeypatch.setattr(netcontract.metzler, "_classify", counting)
+        scans = []
+        off_diagonal = netcontract.metzler._off_diagonal
+
+        def counting_scans(M):
+            scans.append(1)
+            return off_diagonal(M)
+
+        monkeypatch.setattr(netcontract.metzler, "_off_diagonal", counting_scans)
         mat = tmp_path / "a.csv"
         np.savetxt(mat, [[-2.0, 1.0], [3.0, -4.0]], delimiter=",")
         code, manifest, _ = run(capsys, "bound", "--input", str(mat),
                                 "--partition", "1,1")
         assert code == 0 and manifest["result"]["abscissa"] is not None
         assert len(seen) == 1
+        assert len(scans) == 1
 
     def test_partition_errors(self, capsys, tmp_path):
         mat = tmp_path / "a.csv"

@@ -37,6 +37,19 @@ def test_matrix_market_array(tmp_path):
     assert_allclose(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("body, shape", [
+    ("array real general\n0 0", (0, 0)),
+    ("array real general\n0 3", (0, 3)),
+    ("coordinate real general\n0 0 0", (0, 0)),
+])
+def test_matrix_market_empty(tmp_path, body, shape):
+    # An empty array-format file used to reach scipy's reader, which dies of
+    # a floating-point exception on it.
+    path = tmp_path / "m.mtx"
+    path.write_text(f"%%MatrixMarket matrix {body}\n")
+    assert read_matrix(path).shape == shape
+
+
 def test_csv_matrix(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("-1.0,2.5\n0.125,3e-2\n")

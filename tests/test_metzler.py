@@ -65,6 +65,26 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(np.ones((2, 3)))
 
+    def test_empty_rejected(self):
+        for make in (classify, MetzlerMatrix):
+            with pytest.raises(ValueError, match="expected a non-empty square matrix"):
+                make(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("entry, kind", [
+        (-1e-14, COMPLETELY_REDUCIBLE),  # noise: no violation, no edge
+        (-2e-14, NOT_METZLER),
+        (1e-14, COMPLETELY_REDUCIBLE),   # exactly STRUCTURAL_ZERO: no edge
+        (2e-14, REDUCIBLE_OTHER),
+    ])
+    def test_structural_zero_boundary(self, entry, kind):
+        A = [[-1.0, entry], [0.0, -2.0]]
+        assert classify(A).kind == kind
+        if kind == NOT_METZLER:
+            with pytest.raises(ValueError, match="not a Metzler matrix"):
+                MetzlerMatrix(A)
+        else:
+            assert MetzlerMatrix(A).classification.kind == kind
+
 
 def warshall_reachability(A) -> np.ndarray:
     """R[i, j] when node i reaches node j (or i == j), for edges i -> j at
@@ -85,7 +105,7 @@ def graph_structured_metzler(draw):
     or a permuted triangular chain."""
     n = draw(st.integers(1, 10))
     shape = draw(st.sampled_from(("sparse", "blocks", "chain")))
-    cell = st.sampled_from((0.0, 0.0, 0.0, 1e-15, 0.5, 2.0))
+    cell = st.sampled_from((0.0, 0.0, 0.0, 1e-15, -1e-15, STRUCTURAL_ZERO, 0.5, 2.0))
     A = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
     if shape == "blocks":
         labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
@@ -169,6 +189,18 @@ class TestMetzlerMatrix:
         M = MetzlerMatrix([[-1, 1], [1, -1]])
         assert M.classification is M.classification
         assert M.classification.kind == IRREDUCIBLE
+
+    def test_cached_csr_read_only(self):
+        M = MetzlerMatrix([[-1.0, 1.0, 0.0], [2.0, -1.0, 3.0], [0.0, 1e-15, -1.0]])
+        for arr in (M._off.data, M._off.indices, M._off.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # The 1e-15 entry stays in the CSR although it is not an edge.
+        assert M._off.nnz == 4
+        assert M.classification.kind == REDUCIBLE_OTHER
+        assert_allclose(spectral_abscissa(M), np.max(np.linalg.eigvals(M.entries).real),
+                        atol=1e-9)
+        assert M._off.nnz == 4
 
 
 class TestPerronPair:

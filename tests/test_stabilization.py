@@ -4,7 +4,14 @@ from numpy.testing import assert_allclose
 
 import netcontract.metzler
 from netcontract.balancing import balance
-from netcontract.metzler import NonIrreducibleError, spectral_abscissa
+from netcontract.hierarchy import synthesize_gains
+from netcontract.metzler import (
+    MetzlerMatrix,
+    NonIrreducibleError,
+    classify,
+    perron_pair,
+    spectral_abscissa,
+)
 from netcontract.stabilization import (
     marginal_stability_certificate,
     minimal_effort_stabilize,
@@ -252,39 +259,66 @@ class TestVerifyOptimality:
         assert rep.abscissa > -1.0
 
 
+def counting(monkeypatch, name):
+    """Count calls of netcontract.metzler.<name> while still running it."""
+    seen = []
+    fn = getattr(netcontract.metzler, name)
+
+    def counted(*args):
+        seen.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(netcontract.metzler, name, counted)
+    return seen
+
+
+def entry_point_cases():
+    """(matrix, call) pairs, one for each public entry point that takes a
+    Metzler matrix, on irreducible, completely reducible and reducible_other
+    input; the call takes the matrix either dense or as a MetzlerMatrix."""
+    rng = np.random.default_rng(9)
+    A = random_irreducible_metzler(rng, 6)
+    w = rng.uniform(0.5, 2.0, size=6)
+    blocks = np.zeros((4, 4))
+    blocks[:2, :2] = FLOW
+    blocks[2:, 2:] = [[0.0, 2.0], [8.0, 0.0]]
+    other = np.zeros((4, 4))
+    other[:2, :2] = FLOW
+    other[2:, 2:] = FLOW
+    other[0, 2] = 1.0  # block 2 feeds block 1, not back
+    J = np.array([[-0.5, 0.5], [2.0, -0.25]])
+    ell = minimal_effort_stabilize(A, w, -1.0).ell_star
+    return [
+        (A, lambda M: minimal_effort_stabilize(M, w, -1.0)),
+        (blocks, lambda M: stabilize_blocks(M, np.ones(4), -1.0)),
+        (A, lambda M: verify_optimality(M, w, -1.0, ell)),
+        (A, lambda M: marginal_stability_certificate(M)),
+        (other, lambda M: spectral_abscissa(M)),
+        (A, lambda M: perron_pair(M)),
+        (blocks, lambda M: balance(M)),
+        (other, lambda M: classify(M)),
+        (J, lambda M: synthesize_gains(M, np.ones(2), 0.5)),
+    ]
+
+
 class TestOneClassificationPerCall:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        classify = netcontract.metzler.classify
-
-        def counting(A):
-            seen.append(1)
-            return classify(A)
-
-        monkeypatch.setattr(netcontract.metzler, "classify", counting)
-        return seen
-
-    def test_each_entry_point_classifies_once(self, calls):
-        rng = np.random.default_rng(9)
-        A = random_irreducible_metzler(rng, 6)
-        w = rng.uniform(0.5, 2.0, size=6)
-        blocks = np.zeros((4, 4))
-        blocks[:2, :2] = FLOW
-        blocks[2:, 2:] = [[0.0, 2.0], [8.0, 0.0]]
-        other = np.zeros((4, 4))
-        other[:2, :2] = FLOW
-        other[2:, 2:] = FLOW
-        other[0, 2] = 1.0  # block 2 feeds block 1, not back
-        res = minimal_effort_stabilize(A, w, -1.0)
-        cases = [
-            lambda: minimal_effort_stabilize(A, w, -1.0),
-            lambda: stabilize_blocks(blocks, np.ones(4), -1.0),
-            lambda: verify_optimality(A, w, -1.0, res.ell_star),
-            lambda: marginal_stability_certificate(A),
-            lambda: spectral_abscissa(other),
-        ]
-        for call in cases:
+    def test_each_entry_point_classifies_once(self, monkeypatch):
+        calls = counting(monkeypatch, "_classify")
+        for A, call in entry_point_cases():
             calls.clear()
-            call()
+            call(A)
             assert len(calls) == 1
+
+    def test_each_entry_point_scans_once(self, monkeypatch):
+        # The off-diagonal CSR is the one n x n scan of a call; a
+        # MetzlerMatrix built it at construction, so calls reuse it.
+        scans = counting(monkeypatch, "_off_diagonal")
+        for A, call in entry_point_cases():
+            scans.clear()
+            call(A)
+            assert len(scans) == 1
+            mm = MetzlerMatrix(A)
+            scans.clear()
+            call(mm)
+            call(mm)
+            assert scans == []
