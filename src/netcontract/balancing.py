@@ -25,9 +25,9 @@ from netcontract.metzler import (
     STRUCTURAL_ZERO,
     Classification,
     _as_square,
+    _by_component,
     _metzler_classified,
     _positive_vector,
-    _principal_blocks,
 )
 
 MAX_SWEEPS = 100_000  # cap on Newton steps (``max_sweeps``)
@@ -63,8 +63,10 @@ class BalancingResult:
     clamped: bool = False
 
 
-def _imbalance(r: np.ndarray, c: np.ndarray) -> float:
-    return float(np.max(np.abs(r - c)) / (1.0 + np.max(np.abs(r) + np.abs(c))))
+def _imbalance(r: np.ndarray, c: np.ndarray, starts=(0,)) -> float:
+    """The worst imbalance of the blocks that begin at ``starts``."""
+    return float(np.max(np.maximum.reduceat(np.abs(r - c), starts)
+                        / (1.0 + np.maximum.reduceat(np.abs(r) + np.abs(c), starts))))
 
 
 def imbalance(A) -> float:
@@ -104,13 +106,14 @@ def _pcg(hess, b: np.ndarray, m: np.ndarray, rtol: float, max_iter: int) -> np.n
     return x
 
 
-def _balance_block(off: scipy.sparse.csr_array, tol: float, max_steps: int,
-                   x0: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton on f(x) = sum_ij off_ij e^(x_j - x_i), x = log d, for the
-    off-diagonal CSR of an irreducible block: (x, Newton steps, clamped)."""
+def _newton_balance(off: scipy.sparse.csr_array, starts: np.ndarray, tol: float,
+                    max_steps: int, x0: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Damped Newton on f(x) = sum_ij off_ij e^(x_j - x_i), x = log d, for an
+    off-diagonal CSR whose irreducible diagonal blocks begin at ``starts``; f
+    sums over them, so one step moves all.  Stops when every block's imbalance
+    is <= tol: (x, 0 at each block's start, Newton steps, clamped)."""
     n = off.shape[0]
-    if n == 1:
-        return np.zeros(1), 0, False
+    block = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
     # The positive entries only: f has no term for a zero or negative one.
     keep = off.data > 0.0
     rows = np.repeat(np.arange(n), np.diff(off.indptr))[keep]
@@ -119,13 +122,13 @@ def _balance_block(off: scipy.sparse.csr_array, tol: float, max_steps: int,
     lo, hi = np.log(SCALING_CLAMP)
 
     def clamp(x):
-        # d is defined up to scale: centre x on its mid-range, then clip.
-        x = x - (x.max() + x.min()) / 2.0
-        return np.clip(x, lo, hi), bool(x.max() - x.min() > hi - lo)
+        # d is defined up to scale on each block: centre each, then clip.
+        x = x - (np.maximum.reduceat(x, starts) + np.minimum.reduceat(x, starts))[block] / 2.0
+        return np.clip(x, lo, hi), bool(np.any(np.abs(x) > hi))
 
     def scaled(x):
-        # Entries W of D^{-1} off D on the nonzeros, the row sums r and
-        # column sums c of W, f and the imbalance; f = inf on overflow.
+        # W = D^{-1} off D on the nonzeros, its row sums r and column sums c,
+        # f and the worst block's imbalance; f = inf on overflow.
         with np.errstate(over="ignore"):
             w = np.exp(log_a + x[cols] - x[rows])
             f = float(w.sum())
@@ -133,7 +136,7 @@ def _balance_block(off: scipy.sparse.csr_array, tol: float, max_steps: int,
             return w, None, None, np.inf, np.inf
         r = np.bincount(rows, w, n)
         c = np.bincount(cols, w, n)
-        return w, r, c, f, _imbalance(r, c)
+        return w, r, c, f, _imbalance(r, c, starts)
 
     def hess(v):
         # H v for H = diag(r + c) - W - W^T, the Hessian of f at the current x.
@@ -146,11 +149,13 @@ def _balance_block(off: scipy.sparse.csr_array, tol: float, max_steps: int,
         raise BalanceConvergenceError("the start scaling overflows the matrix", np.inf)
     for step in range(max_steps):
         if residual <= tol:
-            return x, step, clamped
-        # The gradient of f is c - r, which sums to zero, so H dx = r - c is
+            return x - x[starts][block], step, clamped
+        # The gradient c - r sums to zero on each block, so H dx = r - c is
         # consistent; solving it only to sqrt(imbalance) keeps the steps
         # superlinear without spending CG iterations far from the optimum.
-        dx = _pcg(hess, r - c, r + c, min(0.5, np.sqrt(residual)), n)
+        # A 1 x 1 block has r + c = 0, so its Jacobi weight is 1.
+        dx = _pcg(hess, r - c, np.where(r + c > 0, r + c, 1.0),
+                  min(0.5, np.sqrt(residual)), n)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             x_new, hit = clamp(x + t * dx)
@@ -174,21 +179,16 @@ def _balance_block(off: scipy.sparse.csr_array, tol: float, max_steps: int,
 def _balance(off: scipy.sparse.csr_array, cls: Classification, tol: float,
              max_sweeps: int, d0) -> tuple[np.ndarray, int, bool]:
     """Balancing scaling of the off-diagonal CSR of an irreducible or completely
-    reducible Metzler matrix: (d, total Newton steps, clamped), each block's d
-    led by 1."""
+    reducible Metzler matrix: (d, Newton steps, clamped), each block's d led
+    by 1."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = off.shape[0]
     start = np.zeros(n) if d0 is None else np.log(_positive_vector(d0, n, "d0"))
-    blocks = [np.arange(n)] if cls.kind == IRREDUCIBLE else [np.array(b) for b in cls.blocks]
+    within, order, starts = _by_component(off, cls)
+    x, iterations, clamped = _newton_balance(within, starts, tol, max_sweeps, start[order])
     d = np.empty(n)
-    iterations = 0
-    clamped = False
-    for block, sub in zip(blocks, _principal_blocks(off, blocks)):
-        bx, steps, bclamped = _balance_block(sub, tol, max_sweeps, start[block])
-        d[block] = np.exp(bx - bx[0])
-        iterations += steps
-        clamped |= bclamped
+    d[order] = np.exp(x)
     return d, iterations, clamped
 
 
@@ -204,10 +204,11 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
     imbalance.  The nonzeros come from one off-diagonal CSR (about two words
     per nonzero) and are held as (row, column, log entry) triplets, about
     three words per nonzero more.  Completely reducible input is balanced
-    block by block (each block's leading scaling entry is normalized to 1).
-    Convergence means imbalance <= tol; ``max_sweeps`` caps the Newton steps
-    (``iterations`` counts them), and exceeding it or stalling raises
-    BalanceConvergenceError with the last residual.
+    by one Newton iteration over all its blocks, each block's leading
+    scaling entry normalized to 1.  Convergence means imbalance <= tol on
+    every block; ``max_sweeps`` caps the Newton steps (``iterations`` counts
+    them), and exceeding it or stalling raises BalanceConvergenceError with
+    the last residual.
     """
     M, cls, off = _metzler_classified(A)
     if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):

@@ -94,10 +94,9 @@ class Classification:
 
     kind: str
     blocks: tuple[tuple[int, ...], ...] | None = None
-    # The strong components of reducible_other input, kept so that
-    # spectral_abscissa does not compute them again.
-    _components: tuple[tuple[int, ...], ...] | None = field(
-        default=None, repr=False, compare=False)
+    # Strong-component label of each node of reducible input, kept so that
+    # no later kernel computes the components again.
+    _labels: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         if self.kind == COMPLETELY_REDUCIBLE:
@@ -123,18 +122,18 @@ def _classify(off: scipy.sparse.csr_array) -> Classification:
     labels, blocks = _strong_components(scipy.sparse.csr_matrix(
         (np.ones(cols.size), (rows, cols)), shape=off.shape))
     if np.any(labels[rows] != labels[cols]):
-        return Classification(REDUCIBLE_OTHER, _components=blocks)
-    return Classification(COMPLETELY_REDUCIBLE, blocks)
+        return Classification(REDUCIBLE_OTHER, _labels=labels)
+    return Classification(COMPLETELY_REDUCIBLE, blocks, labels)
 
 
 def classify(A) -> Classification:
     """Classify the sign/graph structure of a square matrix.
 
-    Total function: non-Metzler input yields kind ``"not_metzler"`` rather
-    than an error.  Edges are the off-diagonal entries above
-    ``STRUCTURAL_ZERO``.  A matrix is completely reducible when no edge joins
-    two distinct strongly connected components, i.e. it is block-diagonal
-    over its components up to a symmetric permutation.
+    Non-Metzler input yields kind ``"not_metzler"`` rather than an error; a
+    NaN or infinite entry raises ValueError.  Edges are the off-diagonal
+    entries above ``STRUCTURAL_ZERO``.  A matrix is completely reducible when
+    no edge joins two distinct strongly connected components, i.e. it is
+    block-diagonal over its components up to a symmetric permutation.
     """
     if isinstance(A, MetzlerMatrix):
         return A.classification
@@ -167,29 +166,35 @@ class MetzlerMatrix:
 def _off_diagonal(M: np.ndarray) -> scipy.sparse.csr_array:
     """Every nonzero off-diagonal entry of M in CSR form, entries at or below
     STRUCTURAL_ZERO included, so that off @ v + diag(M) * v is M @ v up to
-    summation order.  About two words per nonzero."""
+    summation order.  About two words per nonzero.  Raises ValueError for a
+    NaN or infinite entry, which the mask would keep as a non-edge."""
     n = M.shape[0]
     mask = M != 0
     np.fill_diagonal(mask, False)
     # Row-major flat indices: a sixth of the time of np.nonzero on the 2-D mask.
     rows, cols = np.divmod(np.flatnonzero(mask), n)
+    data = M[rows, cols]
+    if not (np.isfinite(data).all() and np.isfinite(M.diagonal()).all()):
+        raise ValueError("matrix has non-finite entries")
     indptr = np.zeros(n + 1, dtype=rows.dtype)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return scipy.sparse.csr_array((M[rows, cols], cols, indptr), shape=(n, n))
+    return scipy.sparse.csr_array((data, cols, indptr), shape=(n, n))
 
 
-def _principal_blocks(off: scipy.sparse.csr_array, blocks) -> list:
-    """off[b][:, b] for each index array b of a partition of the nodes: slices
-    of one symmetrically permuted copy (a copy per block costs several when
-    blocks are many and small), 1 x 1 blocks sharing one empty matrix."""
-    if len(blocks) == 1:
-        return [off]
-    order = np.concatenate(blocks)
-    P = off[order][:, order]
-    empty = scipy.sparse.csr_array((1, 1))
-    ends = np.cumsum([len(b) for b in blocks])
-    return [P[e - len(b):e, e - len(b):e] if len(b) > 1 else empty
-            for b, e in zip(blocks, ends)]
+def _by_component(off: scipy.sparse.csr_array, cls: Classification) -> tuple:
+    """(matrix, order, starts): off permuted to node order[k] at position k,
+    each strong component a segment from one of ``starts`` on, with the
+    entries between components dropped.  Irreducible input is off itself."""
+    n, labels = off.shape[0], cls._labels
+    if labels is None:
+        return off, np.arange(n), np.zeros(1, dtype=np.intp)
+    order = np.argsort(labels, kind="stable")
+    position = np.argsort(order)
+    rows = np.repeat(np.arange(n), np.diff(off.indptr))
+    keep = labels[rows] == labels[off.indices]
+    within = scipy.sparse.csr_array(
+        (off.data[keep], (position[rows[keep]], position[off.indices[keep]])), shape=(n, n))
+    return within, order, np.flatnonzero(np.diff(labels[order], prepend=-1))
 
 
 def _metzler_classified(A) -> tuple[np.ndarray, Classification, scipy.sparse.csr_array]:
@@ -215,32 +220,34 @@ class PerronPair:
 
 
 def _perron(off: scipy.sparse.csr_array, diag: np.ndarray, tol: float,
-            max_iter: int) -> PerronPair:
-    """Shifted power iteration on a validated irreducible Metzler matrix given
-    as its off-diagonal part (CSR) and its diagonal."""
-    n = diag.shape[0]
-    if n == 1:
-        a = float(diag[0])
-        return PerronPair(a, np.ones(1), (a, a))
-    shift = 1.0 + float(np.max(np.abs(diag)))
-    shifted = diag + shift
-    v = np.full(n, 1.0 / n)
+            max_iter: int, starts=(0,)) -> PerronPair:
+    """Shifted power iteration on the irreducible diagonal blocks, from each of
+    ``starts`` on, of a validated Metzler matrix (off-diagonal CSR, diagonal):
+    one shift, Rayleigh quotient, scale and residual per block, until every
+    residual is <= tol.  Returns the pair of the largest abscissa."""
+    starts = np.asarray(starts)
+    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=diag.size))
+    shift = 1.0 + np.maximum.reduceat(np.abs(diag), starts)
+    shifted = diag + shift[seg]
+    # Each block of v has largest entry exactly 1 (x / x is 1 in floating
+    # point), so max |Sv - lam v| is the worst block's relative residual.
+    v = np.ones(diag.size)
     residual = np.inf
-    lam = 0.0
     for _ in range(max_iter):
         Sv = off @ v + shifted * v
-        lam = float(v @ Sv) / float(v @ v)
-        residual = float(np.max(np.abs(Sv - lam * v))) / float(np.max(v))
+        lam = np.add.reduceat(v * Sv, starts) / np.add.reduceat(v * v, starts)
+        residual = float(np.max(np.abs(Sv - lam[seg] * v)))
         if residual <= tol:
             break
-        v = Sv / np.linalg.norm(Sv)
+        v = Sv / np.maximum.reduceat(Sv, starts)[seg]
     else:
         raise NoConvergenceError(
             f"Perron iteration did not reach residual {tol:g} within {max_iter} "
             f"iterations (current residual {residual:.3e})", residual)
-    ratio = Sv / v
-    return PerronPair(lam - shift, v / v[0],
-                      (float(ratio.min()) - shift, float(ratio.max()) - shift))
+    k = int(np.argmax(lam - shift))
+    d, ratio = v[seg == k], (Sv / v)[seg == k] - shift[k]
+    return PerronPair(float(lam[k] - shift[k]), d / d[0],
+                      (float(ratio.min()), float(ratio.max())))
 
 
 def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronPair:
@@ -252,7 +259,9 @@ def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -
     satisfies ||A d - alpha d||_inf <= tol * ||d||_inf.  That residual does
     not bound the error of alpha; ``bracket`` does: it is the Collatz-Wielandt
     interval [min_i (A d)_i / d_i, max_i (A d)_i / d_i] of the last iterate,
-    which contains alpha(A) (up to rounding) at no extra mat-vec.
+    which contains alpha(A) (up to rounding) at no extra mat-vec.  A 1 x 1
+    matrix [a] converges in one step to the rounded (a + r) - r: exact for
+    small integers and halves, otherwise within a few ulps of r of a.
     """
     M, cls, off = _metzler_classified(A)
     if cls.kind != IRREDUCIBLE:
@@ -266,15 +275,12 @@ def spectral_abscissa(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
 
     Exact for any Metzler matrix: a symmetric permutation to block-triangular
     form over the strongly connected components leaves the spectrum the union
-    of the diagonal blocks' spectra, and each block is irreducible.
+    of the diagonal blocks' spectra, and each block is irreducible.  One
+    power iteration runs on all the blocks at once, as in ``perron_pair``.
     """
     M, cls, off = _metzler_classified(A)
-    diag = np.diag(M)
-    if cls.kind == IRREDUCIBLE:
-        return _perron(off, diag, tol, max_iter).abscissa
-    comps = [np.array(c) for c in (cls.blocks if cls.blocks is not None else cls._components)]
-    return max(_perron(sub, diag[c], tol, max_iter).abscissa
-               for c, sub in zip(comps, _principal_blocks(off, comps)))
+    within, order, starts = _by_component(off, cls)
+    return _perron(within, np.diag(M)[order], tol, max_iter, starts).abscissa
 
 
 _NORM_ALIASES = {

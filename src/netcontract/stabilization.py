@@ -48,7 +48,7 @@ class StabilizationResult:
     positive_gains: bool
     eigen_residual: float
     feasibility_residual: float
-    iterations: int  # Newton steps of the balancing, summed over blocks
+    iterations: int  # Newton steps of the one balancing of all blocks
     clamped: bool  # a balancing scaling entry hit SCALING_CLAMP
 
 

@@ -118,6 +118,18 @@ class TestStabilizeCommand:
         assert code == 1 and manifest is None
         assert err == "error: expected a non-empty square matrix, got shape (0, 0)\n"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_non_finite_input_rejected(self, capsys, tmp_path, cell, where):
+        rows = [["-1.0", "1.0"], ["1.0", "-1.0"]]
+        rows[where[0]][where[1]] = cell
+        mat = tmp_path / "bad.csv"
+        mat.write_text("".join(",".join(row) + "\n" for row in rows))
+        code, manifest, err = run(capsys, "stabilize", "--input", str(mat),
+                                  "--target", "-1")
+        assert code == 1 and manifest is None
+        assert err == "error: matrix has non-finite entries\n"
+
     def test_reducible_input_rejected(self, capsys, tmp_path):
         mat = tmp_path / "red.csv"
         np.savetxt(mat, [[-1.0, 0.0], [0.0, -2.0]], delimiter=",")

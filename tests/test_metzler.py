@@ -23,6 +23,7 @@ from netcontract.metzler import (
     perron_pair,
     spectral_abscissa,
 )
+from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import metzler_matrices, random_irreducible_metzler, random_metzler
 
@@ -169,6 +170,32 @@ class TestClassifyOracle:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == ["False", "True"]
+
+
+class TestNonFinite:
+    """NaN compares unequal to 0, so unchecked it enters the CSR as a
+    non-edge: a reducible_other matrix with one NaN gets abscissa 0.0, and
+    an irreducible one runs the Perron iteration to its cap."""
+
+    IRREDUCIBLE_3 = [[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -3.0]]
+    OTHER_3 = [[-1.0, 0.0, 0.0], [1.0, -2.0, 0.0], [0.0, 1.0, -3.0]]
+
+    @staticmethod
+    def spoiled(base, bad, where):
+        A = np.array(base)
+        A[where] = bad
+        return A
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (2, 0), (0, 1)])
+    @pytest.mark.parametrize("entry", [classify, MetzlerMatrix, spectral_abscissa,
+                                       lambda A: minimal_effort_stabilize(A, np.ones(3), -1.0)],
+                             ids=["classify", "MetzlerMatrix", "spectral_abscissa",
+                                  "minimal_effort_stabilize"])
+    def test_rejected(self, entry, where, bad):
+        for base in (self.IRREDUCIBLE_3, self.OTHER_3):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                entry(self.spoiled(base, bad, where))
 
 
 class TestMetzlerMatrix:
