@@ -26,6 +26,7 @@ from netcontract.metzler import (
     Classification,
     _as_square,
     _by_component,
+    _check_tol,
     _metzler_classified,
     _positive_vector,
 )
@@ -181,8 +182,7 @@ def _balance(off: scipy.sparse.csr_array, cls: Classification, tol: float,
     """Balancing scaling of the off-diagonal CSR of an irreducible or completely
     reducible Metzler matrix: (d, Newton steps, clamped), each block's d led
     by 1."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     n = off.shape[0]
     start = np.zeros(n) if d0 is None else np.log(_positive_vector(d0, n, "d0"))
     within, order, starts = _by_component(off, cls)

@@ -33,7 +33,7 @@ class NonIrreducibleError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Iteration cap was hit before the requested residual was reached."""
+    """Iteration cap was hit first; ``residual`` holds the last bracket width."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -70,18 +70,14 @@ def _strongly_connected(edges: scipy.sparse.csr_array) -> bool:
     return True
 
 
-def _strong_components(edges) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Strong-component label of each node, and the components as sorted
-    index tuples ordered by their smallest member."""
+def _strong_components(edges) -> np.ndarray:
+    """Strong-component label of each node."""
     # Imported here, not at module level: scipy.sparse.csgraph adds about
     # 11 MB of resident memory, and irreducible input never needs it.
     import scipy.sparse.csgraph
 
-    _, labels = scipy.sparse.csgraph.connected_components(
-        edges, directed=True, connection="strong")
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    return labels, tuple(sorted((tuple(c.tolist()) for c in comps), key=lambda c: c[0]))
+    return scipy.sparse.csgraph.connected_components(
+        edges, directed=True, connection="strong")[1]
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,13 @@ def _classify(off: scipy.sparse.csr_array) -> Classification:
     rows = np.repeat(np.arange(off.shape[0]), np.diff(off.indptr))[keep]
     cols = off.indices[keep]
     # csgraph counts a stored zero as an edge, so it gets the edges alone.
-    labels, blocks = _strong_components(scipy.sparse.csr_matrix(
+    labels = _strong_components(scipy.sparse.csr_matrix(
         (np.ones(cols.size), (rows, cols)), shape=off.shape))
     if np.any(labels[rows] != labels[cols]):
         return Classification(REDUCIBLE_OTHER, _labels=labels)
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    blocks = tuple(sorted((tuple(c.tolist()) for c in comps), key=lambda c: c[0]))
     return Classification(COMPLETELY_REDUCIBLE, blocks, labels)
 
 
@@ -214,40 +213,43 @@ def _metzler_classified(A) -> tuple[np.ndarray, Classification, scipy.sparse.csr
 class PerronPair:
     abscissa: float
     eigenvector: np.ndarray
-    # Collatz-Wielandt bracket [min_i (Md)_i / d_i, max_i (Md)_i / d_i] of the
-    # last iterate d; it contains alpha(M) for Metzler M, up to rounding.
+    # Collatz-Wielandt bracket [min_i (Md)_i / d_i, max_i (Md)_i / d_i] of d,
+    # at most tol wide; it contains alpha(M) up to rounding.
     bracket: tuple[float, float]
+
+
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
 
 
 def _perron(off: scipy.sparse.csr_array, diag: np.ndarray, tol: float,
             max_iter: int, starts=(0,)) -> PerronPair:
     """Shifted power iteration on the irreducible diagonal blocks, from each of
     ``starts`` on, of a validated Metzler matrix (off-diagonal CSR, diagonal):
-    one shift, Rayleigh quotient, scale and residual per block, until every
-    residual is <= tol.  Returns the pair of the largest abscissa."""
+    one shift, scale and Collatz-Wielandt bracket per block, until every
+    bracket is at most tol wide.  Returns the pair of the largest upper end."""
+    _check_tol(tol)
     starts = np.asarray(starts)
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=diag.size))
     shift = 1.0 + np.maximum.reduceat(np.abs(diag), starts)
     shifted = diag + shift[seg]
-    # Each block of v has largest entry exactly 1 (x / x is 1 in floating
-    # point), so max |Sv - lam v| is the worst block's relative residual.
-    v = np.ones(diag.size)
-    residual = np.inf
+    v, width = np.ones(diag.size), np.inf
     for _ in range(max_iter):
         Sv = off @ v + shifted * v
-        lam = np.add.reduceat(v * Sv, starts) / np.add.reduceat(v * v, starts)
-        residual = float(np.max(np.abs(Sv - lam[seg] * v)))
-        if residual <= tol:
+        ratio = Sv / v
+        hi, lo = np.maximum.reduceat(ratio, starts), np.minimum.reduceat(ratio, starts)
+        width = float(np.max(hi - lo))
+        if width <= tol:
             break
         v = Sv / np.maximum.reduceat(Sv, starts)[seg]
     else:
         raise NoConvergenceError(
-            f"Perron iteration did not reach residual {tol:g} within {max_iter} "
-            f"iterations (current residual {residual:.3e})", residual)
-    k = int(np.argmax(lam - shift))
-    d, ratio = v[seg == k], (Sv / v)[seg == k] - shift[k]
-    return PerronPair(float(lam[k] - shift[k]), d / d[0],
-                      (float(ratio.min()), float(ratio.max())))
+            f"Perron iteration did not reach bracket width {tol:g} within {max_iter} "
+            f"iterations (current width {width:.3e})", width)
+    k = int(np.argmax(hi - shift))
+    lo, hi = float(lo[k] - shift[k]), float(hi[k] - shift[k])
+    return PerronPair(hi, v[seg == k] / v[starts[k]], (lo, hi))
 
 
 def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> PerronPair:
@@ -255,13 +257,13 @@ def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -
 
     Power iteration on A + rI with r = 1 + max|a_ii|; the shift makes the
     iteration matrix primitive, so the positive start vector always overlaps
-    the Perron direction.  The returned eigenvector has first entry 1 and
-    satisfies ||A d - alpha d||_inf <= tol * ||d||_inf.  That residual does
-    not bound the error of alpha; ``bracket`` does: it is the Collatz-Wielandt
-    interval [min_i (A d)_i / d_i, max_i (A d)_i / d_i] of the last iterate,
-    which contains alpha(A) (up to rounding) at no extra mat-vec.  A 1 x 1
-    matrix [a] converges in one step to the rounded (a + r) - r: exact for
-    small integers and halves, otherwise within a few ulps of r of a.
+    the Perron direction.  It stops when ``bracket``, the Collatz-Wielandt
+    interval of the iterate d (first entry 1), is at most ``tol`` wide, and
+    returns its upper end, max_i (A d)_i / d_i, as ``abscissa``: like every
+    abscissa this library reports, an upper bound on alpha(A), here within
+    tol of it, with ||A d - abscissa d||_inf <= tol * ||d||_inf.  A 1 x 1
+    matrix [a] gives the rounded (a + r) - r: exact for small integers and
+    halves, otherwise within a few ulps of r of a.
     """
     M, cls, off = _metzler_classified(A)
     if cls.kind != IRREDUCIBLE:
@@ -276,7 +278,8 @@ def spectral_abscissa(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     Exact for any Metzler matrix: a symmetric permutation to block-triangular
     form over the strongly connected components leaves the spectrum the union
     of the diagonal blocks' spectra, and each block is irreducible.  One
-    power iteration runs on all the blocks at once, as in ``perron_pair``.
+    power iteration runs on all the blocks at once, as in ``perron_pair``,
+    and returns the largest upper end of their brackets.
     """
     M, cls, off = _metzler_classified(A)
     within, order, starts = _by_component(off, cls)

@@ -139,7 +139,7 @@ def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabi
     """Certificate of marginal stability for an irreducible Metzler matrix.
 
     alpha(A) <= 0 holds iff some d > 0 satisfies A d <= 0; the Perron
-    eigenvector (iterated to residual ``tol``) is such a d whenever one
+    eigenvector (iterated to bracket width ``tol``) is such a d whenever one
     exists.  Only a d with A d <= 0 in every entry is certified; the reported
     abscissa is the Collatz-Wielandt bound max_i (A d)_i / d_i >= alpha(A).
     """

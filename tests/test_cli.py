@@ -359,6 +359,20 @@ class TestManifestContract:
         assert set(manifest["result"]) == self.RESULT_KEYS[name]
 
 
+class TestBadTol:
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["balance", "stabilize", "synthesize"])
+    def test_rejected(self, capsys, tmp_path, command, tol):
+        mat = tmp_path / "m.csv"
+        np.savetxt(mat, [[1.0, 2.0], [8.0, 1.0]], delimiter=",")
+        args = {"balance": ["--input", str(mat)],
+                "stabilize": ["--input", str(mat), "--target", "-1"],
+                "synthesize": ["--jhat", str(mat), "--rate", "0.5"]}[command]
+        code, manifest, err = run(capsys, command, *args, f"--tol={tol}")
+        assert code == 1 and manifest is None
+        assert err.startswith("error: tol must be a finite positive number")
+
+
 class TestUsage:
     def test_parser_built_once(self, capsys, flow_mtx):
         netcontract.cli._build_parser.cache_clear()

@@ -23,7 +23,8 @@ from netcontract.metzler import (
     perron_pair,
     spectral_abscissa,
 )
-from netcontract.stabilization import minimal_effort_stabilize
+from netcontract.balancing import balance
+from netcontract.stabilization import marginal_stability_certificate, minimal_effort_stabilize
 
 from generators import metzler_matrices, random_irreducible_metzler, random_metzler
 
@@ -273,8 +274,9 @@ class TestPerronPair:
         rng = np.random.default_rng(3)
         cases = [random_irreducible_metzler(rng, n) for n in (2, 3, 5, 17, 60, 200)]
         cases.append(random_irreducible_metzler(rng, 300, density=0.02))
-        # A nearly reducible 8-cycle: the link closing it is 1e-6, so the
-        # residual test stops with the abscissa 1.2e-8 off, far beyond tol.
+        # A nearly reducible 8-cycle: the link closing it is 1e-6, so an
+        # iterate with residual below tol can have its Rayleigh quotient
+        # 1.2e-8 off; the bracket width bounds the error, the residual not.
         cycle_rng = np.random.default_rng(2)
         i = np.arange(8)
         cycle = np.zeros((8, 8))
@@ -290,8 +292,9 @@ class TestPerronPair:
             n = A.shape[0]
             slack = 2 * n * np.finfo(float).eps * (1 + 2 * np.abs(A).sum(axis=1).max())
             assert lo - slack <= alpha <= hi + slack
-            assert lo - slack <= pair.abscissa <= hi + slack
-        assert abs(pair.abscissa - alpha) > 1e-9
+            assert pair.abscissa == hi
+            assert hi - lo <= 1e-10
+            assert abs(pair.abscissa - alpha) <= 1e-10 + slack
 
     def test_requires_irreducible(self):
         with pytest.raises(NonIrreducibleError):
@@ -353,6 +356,19 @@ class TestSpectralAbscissa:
         for _ in range(25):
             A = random_metzler(rng, int(rng.integers(2, 8)))
             assert spectral_abscissa(A) <= matrix_measure(A, "inf") + 1e-12
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    perron_pair, spectral_abscissa, marginal_stability_certificate, balance,
+    lambda A, tol: minimal_effort_stabilize(A, np.ones(2), -1.0, tol=tol),
+], ids=["perron_pair", "spectral_abscissa", "marginal_stability_certificate",
+        "balance", "minimal_effort_stabilize"])
+def test_bad_tol_rejected(call, tol):
+    # Before any iteration: a tol no width or imbalance can meet would spin
+    # to the step cap, and an infinite one would pass unconverged input.
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        call([[-1.0, 1.0], [4.0, -4.0]], tol=tol)
 
 
 class TestMatrixMeasure:
