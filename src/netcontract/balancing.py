@@ -26,9 +26,9 @@ from netcontract.metzler import (
     Classification,
     _as_square,
     _by_component,
-    _check_tol,
+    _finite,
     _metzler_classified,
-    _positive_vector,
+    _vector,
 )
 
 MAX_SWEEPS = 100_000  # cap on Newton steps (``max_sweeps``)
@@ -182,9 +182,9 @@ def _balance(off: scipy.sparse.csr_array, cls: Classification, tol: float,
     """Balancing scaling of the off-diagonal CSR of an irreducible or completely
     reducible Metzler matrix: (d, Newton steps, clamped), each block's d led
     by 1."""
-    _check_tol(tol)
+    tol = _finite("tol", tol, positive=True)
     n = off.shape[0]
-    start = np.zeros(n) if d0 is None else np.log(_positive_vector(d0, n, "d0"))
+    start = np.zeros(n) if d0 is None else np.log(_vector("d0", d0, n, positive=True))
     within, order, starts = _by_component(off, cls)
     x, iterations, clamped = _newton_balance(within, starts, tol, max_sweeps, start[order])
     d = np.empty(n)
@@ -229,12 +229,10 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
 
 
 def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if M.shape[0] == 1:
-        return np.empty(0), np.empty(0)
     sub, sup = np.diag(M, -1), np.diag(M, 1)
     # Off-band entries are rejected by magnitude, so the bands' signs decide
-    # the Metzler test.
-    lowest = min(float(np.min(sub)), float(np.min(sup)))
+    # the Metzler test; a 1 x 1 matrix has empty bands.
+    lowest = min(np.min(sub, initial=np.inf), np.min(sup, initial=np.inf))
     if lowest < -STRUCTURAL_ZERO:
         raise ValueError("not a Metzler matrix: negative off-diagonal entry")
     if float(np.max(np.abs(M - np.tril(np.triu(M, -1), 1)))) > STRUCTURAL_ZERO:
@@ -259,5 +257,5 @@ def balance_tridiagonal(A) -> np.ndarray:
 def potential(A, d) -> float:
     """Balancing potential f(d) = sum_ij a_ij d_j / d_i (d > 0)."""
     M = _as_square(A)
-    dd = _positive_vector(d, M.shape[0], "d")
+    dd = _vector("d", d, M.shape[0], positive=True)
     return float((M * (dd[None, :] / dd[:, None])).sum())

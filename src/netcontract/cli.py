@@ -29,7 +29,7 @@ from netcontract.hierarchy import (
     synthesize_gains,
 )
 from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
-from netcontract.metzler import IRREDUCIBLE, MetzlerMatrix, spectral_abscissa
+from netcontract.metzler import spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
 FEASIBILITY_TOL = 1e-8
@@ -175,13 +175,10 @@ def _cmd_bound(args):
     B = block_bound_matrix(M, _parse_partition(args))
     if args.output:
         write_matrix_csv(args.output, B)
-    mm = MetzlerMatrix(B)
-    abscissa = None
-    if mm.classification.kind == IRREDUCIBLE:
-        abscissa = spectral_abscissa(mm)
     result = {
         "b": B.tolist(),
-        "abscissa": abscissa,
+        # B is Metzler, its off-diagonal entries being norms.
+        "abscissa": spectral_abscissa(B),
         "imbalance": imbalance(B),
         "output": args.output,
     }

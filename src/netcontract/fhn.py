@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from netcontract.integrate import DivergedError, rk4
-from netcontract.metzler import matrix_measure
+from netcontract.metzler import _finite, _float_array, _vector, matrix_measure
 
 __all__ = [
     "SinusoidInput", "SpikeTrainInput", "ZeroInput", "FhnConfig", "Trajectory",
@@ -40,26 +40,11 @@ __all__ = [
 ]
 
 
-def _finite(name: str, value, positive: bool = False) -> None:
-    """Reject anything but a finite real number (a positive one if asked)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value > 0 or not positive)):
-        kind = "positive" if positive else "real"
-        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
-
-
 def _integer(name: str, value) -> int:
     """Reject anything but an integer (bool included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _float_array(name: str, value) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be numbers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,10 +70,10 @@ class SpikeTrainInput:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).ravel()
-        v = np.asarray(self.values, dtype=float).ravel()
-        if t.shape != v.shape or t.shape[0] < 2:
-            raise ValueError("need matching breakpoint times and values (>= 2)")
+        t = _vector("times", self.times, np.size(self.times))
+        v = _vector("values", self.values, t.shape[0])
+        if t.shape[0] < 2:
+            raise ValueError("need at least 2 breakpoints")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("breakpoint times must start at 0 and increase")
         object.__setattr__(self, "times", t)
@@ -151,11 +136,7 @@ class FhnConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.gains is not None:
-            g = _float_array("gains", self.gains).ravel()
-            if g.shape[0] != self.n_neurons:
-                raise ValueError(
-                    f"gains have length {g.shape[0]}, expected {self.n_neurons}")
-            self.gains = g
+            self.gains = _vector("gains", self.gains, self.n_neurons)
 
     @property
     def n_neurons(self) -> int:
@@ -176,9 +157,12 @@ def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
     ell* = (c + eta) 1 - (gamma / 2) L^T 1.  Requires eta >= gamma *
     max_i L_ii - c so every gain stays purely dissipative in the bound.
     """
+    c, gamma, eta = _finite("c", c, positive=True), _finite("gamma", gamma), _finite("eta", eta)
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    floor = gamma * float(np.max(np.diag(L))) - c if n else -c
+    floor = gamma * float(np.max(np.diag(L), initial=-np.inf)) - c
     if eta < floor:
         raise ValueError(
             f"eta = {eta:g} violates eta >= gamma * max degree - c = {floor:g}")

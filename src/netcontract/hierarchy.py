@@ -22,8 +22,9 @@ from netcontract.metzler import (
     DEFAULT_TOL,
     MetzlerMatrix,
     _as_square,
+    _finite,
     _measure,
-    _positive_vector,
+    _vector,
     norm_kind,
 )
 from netcontract.stabilization import minimal_effort_stabilize
@@ -52,8 +53,8 @@ class BlockNorm:
     def __post_init__(self):
         object.__setattr__(self, "kind", norm_kind(self.kind))
         if self.scaling is not None:
-            object.__setattr__(self, "scaling", _positive_vector(
-                self.scaling, np.size(self.scaling), "block norm scaling"))
+            object.__setattr__(self, "scaling", _vector(
+                "block norm scaling", self.scaling, np.size(self.scaling), positive=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +188,7 @@ def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
         raise ValueError(
             f"state has dimension {x.shape[-1]}, partition covers {partition.total}")
     m = len(partition.sizes)
-    w = np.ones(m) if weights is None else _positive_vector(weights, m, "weights")
+    w = np.ones(m) if weights is None else _vector("weights", weights, m, positive=True)
     vals = []
     for sl, bn in zip(partition.slices(), partition.block_norms):
         blk = x[..., sl]
@@ -242,14 +243,15 @@ def _unwrap(j_hat) -> np.ndarray:
     return _as_square(j_hat)
 
 
-def _check_hypothesis(J: np.ndarray, eta: float) -> None:
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+def _check_hypothesis(J: np.ndarray, eta) -> float:
+    """eta as a float, once it is finite and positive and J + eta*I >= 0."""
+    eta = _finite("eta", eta, positive=True)
     worst = float(np.min(J + eta * np.eye(J.shape[0])))
     if worst < 0:
         raise HypothesisViolatedError(
             f"J_hat + eta*I has a negative entry ({worst:.3g}); the closed form "
             "may produce nonpositive gains, so optimality is not guaranteed")
+    return eta
 
 
 def synthesize_gains(j_hat, w, eta: float, tol: float = DEFAULT_TOL) -> GainSynthesisResult:
@@ -260,10 +262,10 @@ def synthesize_gains(j_hat, w, eta: float, tol: float = DEFAULT_TOL) -> GainSynt
     stabilizer with target -eta.
     """
     J = _unwrap(j_hat)
-    _check_hypothesis(J, eta)
+    eta = _check_hypothesis(J, eta)
     res = minimal_effort_stabilize(j_hat if isinstance(j_hat, MetzlerMatrix) else J,
-                                   w, target=-float(eta), tol=tol)
-    return GainSynthesisResult(v_star=res.ell_star, rate=float(eta),
+                                   w, target=-eta, tol=tol)
+    return GainSynthesisResult(v_star=res.ell_star, rate=eta,
                                cost=res.cost, closed_loop_abscissa=res.achieved)
 
 
@@ -276,10 +278,8 @@ def tridiagonal_gains(j_hat, eta: float) -> np.ndarray:
     """
     J = _unwrap(j_hat)
     sub, sup = _tridiagonal_bands(J)
-    _check_hypothesis(J, eta)
-    v = float(eta) + np.diag(J).astype(float).copy()
-    if J.shape[0] > 1:
-        g = np.sqrt(sup * sub)
-        v[:-1] += g
-        v[1:] += g
+    v = _check_hypothesis(J, eta) + np.diag(J)
+    g = np.sqrt(sup * sub)
+    v[:-1] += g
+    v[1:] += g
     return v

@@ -10,6 +10,8 @@ an entry above STRUCTURAL_ZERO.  A Perron step costs O(nnz + n), not O(n^2).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +49,33 @@ def _as_square(A) -> np.ndarray:
     return M
 
 
-def _positive_vector(v, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).ravel()
+def _finite(name: str, value, positive: bool = False) -> float:
+    """A finite real number (a positive one if asked) as a float: a Python or
+    numpy scalar or a 0-d array; anything else raises ValueError."""
+    if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
+        value = value.item()
+    # The bound rejects NaN, infinities and ints beyond the float range.
+    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+            and (value > 0 or not positive)):
+        kind = "positive" if positive else "real"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
+    return float(value)
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers, got {value!r}") from None
+
+
+def _vector(name: str, value, n: int, positive: bool = False) -> np.ndarray:
+    """value flattened to n finite floats (positive ones if asked)."""
+    arr = _float_array(name, value).ravel()
     if arr.shape[0] != n:
-        raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(arr) & (arr > 0)):
-        raise ValueError(f"{name} must be strictly positive")
+        raise ValueError(f"{name} have length {arr.shape[0]}, expected {n}")
+    if not (np.isfinite(arr).all() and (not positive or (arr > 0).all())):
+        raise ValueError(f"{name} must have finite{' positive' if positive else ''} entries")
     return arr
 
 
@@ -104,7 +127,7 @@ def _classify(off: scipy.sparse.csr_array) -> Classification:
     """Classification of a square matrix from its off-diagonal CSR: the
     graph has an edge at each entry above STRUCTURAL_ZERO."""
     # An implicit zero of the CSR cannot fail the sign test.
-    if off.nnz and off.data.min() < -STRUCTURAL_ZERO:
+    if off.data.min(initial=0.0) < -STRUCTURAL_ZERO:
         return Classification(NOT_METZLER)
     keep = off.data > STRUCTURAL_ZERO
     # Weight 1 on edges, 0 on other stored entries; off's index arrays are
@@ -218,18 +241,13 @@ class PerronPair:
     bracket: tuple[float, float]
 
 
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-
-
 def _perron(off: scipy.sparse.csr_array, diag: np.ndarray, tol: float,
             max_iter: int, starts=(0,)) -> PerronPair:
     """Shifted power iteration on the irreducible diagonal blocks, from each of
     ``starts`` on, of a validated Metzler matrix (off-diagonal CSR, diagonal):
     one shift, scale and Collatz-Wielandt bracket per block, until every
     bracket is at most tol wide.  Returns the pair of the largest upper end."""
-    _check_tol(tol)
+    tol = _finite("tol", tol, positive=True)
     starts = np.asarray(starts)
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=diag.size))
     shift = 1.0 + np.maximum.reduceat(np.abs(diag), starts)
@@ -322,7 +340,7 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     """
     M = _as_square(A)
     if scaling is not None:
-        t = _positive_vector(scaling, M.shape[0], "scaling")
+        t = _vector("scaling", scaling, M.shape[0], positive=True)
         M = M * (t[:, None] / t[None, :])
     return float(_measure(M, norm_kind(norm)))
 

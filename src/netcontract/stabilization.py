@@ -32,9 +32,10 @@ from netcontract.metzler import (
     IRREDUCIBLE,
     Classification,
     NonIrreducibleError,
+    _finite,
     _metzler_classified,
     _perron,
-    _positive_vector,
+    _vector,
 )
 
 
@@ -80,7 +81,8 @@ def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, 
     """Gains from the balancing of diag(w) M, for validated irreducible or
     completely reducible M with off-diagonal CSR ``off``; every block is
     driven to the same target."""
-    w = _positive_vector(w, M.shape[0], "w")
+    w = _vector("w", w, M.shape[0], positive=True)
+    target = _finite("target", target)
     # diag(w) off: each stored entry scaled by its row's weight.
     weighted = off.copy()
     weighted.data *= np.repeat(w, np.diff(off.indptr))
@@ -92,7 +94,7 @@ def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, 
     return StabilizationResult(
         ell_star=ell,
         d_star=d,
-        target=float(target),
+        target=target,
         achieved=achieved,
         cost=float(w @ ell),
         positive_gains=bool(np.all(ell > 0)),
@@ -171,10 +173,10 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
         raise NonIrreducibleError(
             f"verify_optimality requires an irreducible matrix, got {cls.kind}")
     n = M.shape[0]
-    w = _positive_vector(w, n, "w")
-    ell = np.asarray(ell, dtype=float).ravel()
-    if ell.shape[0] != n:
-        raise ValueError(f"ell has length {ell.shape[0]}, expected {n}")
+    w = _vector("w", w, n, positive=True)
+    ell = _vector("ell", ell, n)
+    target = _finite("target", target)
+    tol = _finite("tol", tol, positive=True)
     # The closed loop C = A - diag(ell) is the CSR off-diagonal part of A and
     # the diagonal vector diag(A) - ell; no n x n working copy is made.
     diag = np.diag(M) - ell

@@ -266,3 +266,7 @@ class TestPotential:
             potential(self.A, [1.0, -1.0])
         with pytest.raises(ValueError):
             potential(self.A, [1.0, 2.0, 3.0])
+
+
+def test_balance_tridiagonal_scalar():
+    assert np.array_equal(balance_tridiagonal([[2.0]]), [1.0])

@@ -29,10 +29,17 @@ FLOW_MM = """%%MatrixMarket matrix coordinate real general
 """
 
 
+def _reject_constant(token):
+    raise ValueError(f"manifest is not strict JSON: it holds {token}")
+
+
 def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
-    manifest = json.loads(captured.out) if captured.out.strip() else None
+    # parse_constant sees NaN, Infinity and -Infinity, which no JSON parser
+    # but Python's accepts.
+    manifest = (json.loads(captured.out, parse_constant=_reject_constant)
+                if captured.out.strip() else None)
     return code, manifest, captured.err
 
 
@@ -413,3 +420,54 @@ class TestUsage:
         manifest = json.loads(proc.stdout)
         assert manifest["subcommand"] == "fhn certify"
         assert manifest["result"]["passed"] is True
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinite numbers on the command line or in a config exit 1
+    with an error line and print no manifest."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag, option, named", [
+        ("stabilize", "--input", "--target", "target must be"),
+        ("synthesize", "--jhat", "--rate", "eta must be"),
+    ])
+    def test_option_rejected(self, capsys, tmp_path, command, flag, option, named, value):
+        mat = tmp_path / "m.csv"
+        np.savetxt(mat, [[1.0, 2.0], [8.0, 1.0]], delimiter=",")
+        code, manifest, err = run(capsys, command, flag, str(mat), f"{option}={value}")
+        assert code == 1 and manifest is None
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"gains": [6.0, 6.0, float("nan"), 6.0, 6.0, 6.0]}, "gains"),
+        ({"gains": [6.0, 6.0, float("inf"), 6.0, 6.0, 6.0]}, "gains"),
+        ({"input": {"kind": "spike_train",
+                    "params": {"times": [0.0, 0.5, 1.0], "values": [0.0, float("nan"), 0.0]}}},
+         "values"),
+        ({"input": {"kind": "spike_train",
+                    "params": {"times": [0.0, float("inf")], "values": [0.0, 1.0]}}},
+         "times"),
+    ], ids=["nan-gain", "inf-gain", "nan-spike-value", "inf-spike-time"])
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_config_rejected(self, capsys, tmp_path, command, edit, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(FHN6.read_text()), **edit}))
+        code, manifest, err = run(capsys, "fhn", command, "--config", str(bad))
+        assert code == 1 and manifest is None
+        assert err.startswith("error:") and named in err
+
+
+def test_bound_reports_reducible_abscissa(capsys, tmp_path):
+    # Two uncoupled blocks give a reducible B = diag(-1, -1).
+    A = np.array([[-1.0, 0.0, 0.0, 0.0],
+                  [0.0, -1.0, 0.0, 0.0],
+                  [0.0, 0.0, -2.0, 1.0],
+                  [0.0, 0.0, 1.0, -2.0]])
+    mat = tmp_path / "a.csv"
+    np.savetxt(mat, A, delimiter=",")
+    code, manifest, _ = run(capsys, "bound", "--input", str(mat), "--partition", "2,2")
+    assert code == 0
+    B = np.array(manifest["result"]["b"])
+    assert_allclose(manifest["result"]["abscissa"], max(np.linalg.eigvals(B).real),
+                    atol=1e-12)
+    assert_allclose(manifest["result"]["abscissa"], -1.0, atol=1e-12)

@@ -492,3 +492,44 @@ class TestConfigValidation:
             FhnConfig(adjacency=[[0, 2], [2, 0]])
         with pytest.raises(ValueError, match="step"):
             six_config(step=0.0)
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinite gains, rates and breakpoints raise ValueError naming
+    the field."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c", "gamma", "eta"])
+    def test_fhn_gains_scalars(self, name, bad):
+        args = {"c": 6.0, "gamma": 0.05, "eta": 0.05, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fhn_gains(laplacian(SIX_RING), **args)
+
+    @pytest.mark.parametrize("name, value", [("c", 0.0), ("gamma", -0.1), ("c", "6")])
+    def test_fhn_gains_follows_config_rules(self, name, value):
+        args = {"c": 6.0, "gamma": 0.05, "eta": 0.05, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fhn_gains(laplacian(SIX_RING), **args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_config_gains(self, bad):
+        with pytest.raises(ValueError, match="^gains must"):
+            six_config(gains=[6.0, 6.0, bad, 6.0, 6.0, 6.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["times", "values"])
+    def test_spike_train_breakpoints(self, field, bad):
+        params = {"times": [0.0, 0.5, 1.0], "values": [0.0, 8.0, 0.0]}
+        params[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SpikeTrainInput(**params)
+
+
+def test_integer_beyond_float_range_rejected():
+    # JSON reads a long integer literal as a Python int that no float holds.
+    with pytest.raises(ValueError, match="^c must be"):
+        config_from_json({"adjacency": [[0]], "c": 10 ** 400})
+
+
+def test_fhn_gains_scalar_network():
+    assert np.array_equal(fhn_gains(np.zeros((1, 1)), 6.0, 0.05, 0.05), [6.05])

@@ -368,3 +368,19 @@ class TestTridiagonalGains:
             tridiagonal_gains(np.zeros((3, 3)), 0.5)
         with pytest.raises(HypothesisViolatedError):
             tridiagonal_gains(np.diag([-5.0, 0.0]) + np.array([[0, 1], [1, 0]]), 0.5)
+
+
+class TestNonFiniteRate:
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, "0.5"])
+    def test_synthesize_gains(self, eta):
+        with pytest.raises(ValueError, match="eta must be"):
+            synthesize_gains(WORKED_J, np.ones(3), eta)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, "0.5"])
+    def test_tridiagonal_gains(self, eta):
+        with pytest.raises(ValueError, match="eta must be"):
+            tridiagonal_gains(WORKED_J, eta)
+
+
+def test_tridiagonal_gains_scalar():
+    assert np.array_equal(tridiagonal_gains([[1.0]], 0.5), [1.5])

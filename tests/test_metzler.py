@@ -453,3 +453,21 @@ class TestMatrixMeasure:
         rng = np.random.default_rng(7)
         A = random_irreducible_metzler(rng, 12)
         assert_allclose(spectral_abscissa(A), perron_pair(A).abscissa, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    perron_pair, spectral_abscissa, marginal_stability_certificate, balance,
+    lambda A, tol: minimal_effort_stabilize(A, np.ones(2), -1.0, tol=tol),
+], ids=["perron_pair", "spectral_abscissa", "marginal_stability_certificate",
+        "balance", "minimal_effort_stabilize"])
+def test_string_tol_rejected(call):
+    # A ValueError, not a TypeError: the CLI reports the one and not the other.
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        call([[-1.0, 1.0], [4.0, -4.0]], tol="1e-8")
+
+
+def test_tol_accepts_numpy_scalars_and_0d_arrays():
+    A = [[-1.0, 1.0], [4.0, -4.0]]
+    ref = spectral_abscissa(A, tol=1e-10)
+    for tol in (np.float64(1e-10), np.float32(1e-10), np.array(1e-10)):
+        assert abs(spectral_abscissa(A, tol=tol) - ref) <= 1e-9

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import netcontract.metzler
+import netcontract.stabilization
 from netcontract.balancing import balance
 from netcontract.hierarchy import synthesize_gains
 from netcontract.metzler import (
@@ -322,3 +325,39 @@ class TestOneClassificationPerCall:
             call(mm)
             call(mm)
             assert scans == []
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinite scalars and gains raise ValueError before any
+    iteration starts."""
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [minimal_effort_stabilize, stabilize_blocks])
+    def test_stabilize_target(self, call, target):
+        with pytest.raises(ValueError, match="target must be"):
+            call(FLOW, [1.0, 4.0], target)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_verify_optimality_target(self, target):
+        with pytest.raises(ValueError, match="target must be"):
+            verify_optimality(FLOW, [1.0, 4.0], target, [2.0, 0.5])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, "1e-8"])
+    def test_verify_optimality_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            verify_optimality(FLOW, [1.0, 4.0], -1.0, [2.0, 0.5], tol=tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ell_rejected_at_once(self, monkeypatch, bad):
+        # A NaN gain once ran the Perron iteration to its step cap.
+        def never(*args, **kwargs):
+            raise AssertionError("the Perron iteration ran")
+
+        monkeypatch.setattr(netcontract.stabilization, "_perron", never)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="ell"):
+                verify_optimality(FLOW, [1.0, 4.0], -1.0, [2.0, bad])
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.01
