@@ -229,6 +229,9 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
 
 
 def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # NaN fails none of the comparisons below, so it is rejected first.
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     sub, sup = np.diag(M, -1), np.diag(M, 1)
     # Off-band entries are rejected by magnitude, so the bands' signs decide
     # the Metzler test; a 1 x 1 matrix has empty bands.

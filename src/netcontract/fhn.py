@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from netcontract.integrate import DivergedError, rk4
+from netcontract.integrate import DivergedError, _grid, rk4
 from netcontract.metzler import _finite, _float_array, _vector, matrix_measure
 
 __all__ = [
@@ -143,9 +143,18 @@ class FhnConfig:
         return self.adjacency.shape[0]
 
 
+def _rates(c, gamma) -> tuple[float, float]:
+    """c finite and positive, gamma finite and nonnegative, as floats."""
+    c, gamma = _finite("c", c, positive=True), _finite("gamma", gamma)
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    return c, gamma
+
+
 def voltage_jacobian_bound(L, c: float, gamma: float) -> np.ndarray:
     """State-independent bound c I - gamma (L + L^T)/2 on the symmetric part
     of the voltage-voltage Jacobian block (the cubic only helps)."""
+    c, gamma = _rates(c, gamma)
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     return c * np.eye(n) - gamma * (L + L.T) / 2.0
@@ -157,9 +166,8 @@ def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
     ell* = (c + eta) 1 - (gamma / 2) L^T 1.  Requires eta >= gamma *
     max_i L_ii - c so every gain stays purely dissipative in the bound.
     """
-    c, gamma, eta = _finite("c", c, positive=True), _finite("gamma", gamma), _finite("eta", eta)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    c, gamma = _rates(c, gamma)
+    eta = _finite("eta", eta)
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
     floor = gamma * float(np.max(np.diag(L), initial=-np.inf)) - c
@@ -298,17 +306,29 @@ class Trajectory:
         return self.states[..., self.n_neurons:]
 
 
-def _closed_loop_field(config: FhnConfig):
+def _closed_loop_field(config: FhnConfig, inputs=None):
+    """The closed-loop field f(t, x).  r(t) is looked up in ``inputs``, a
+    dict from time to input value, and evaluated for any t it lacks."""
     n = config.n_neurons
     c, r = config.c, config.input
+    inputs = {} if inputs is None else inputs
     kt = closed_loop_jacobian(config, np.zeros(2 * n)).T
     drive = np.repeat([c, 0.0], n)
     offset = np.repeat([0.0, config.a / c], n)
+    # The cubic over the contiguous full state (a strided view of v is
+    # slower); the zero weight on w gives NaN only where w^3 overflows.
+    cubic = np.repeat([-c / 3.0, 0.0], n)
 
     def f(t, x):
-        dx = x @ kt + (r(t) * drive + offset)
-        v = x[..., :n]
-        dx[..., :n] -= (c / 3.0) * (v * v * v)  # v ** 3 is slower on a strided view
+        rt = inputs.get(t)
+        if rt is None:
+            rt = r(t)
+        dx = x @ kt
+        dx += rt * drive + offset
+        cube = x * x
+        cube *= x
+        cube *= cubic
+        dx += cube
         return dx
 
     return f
@@ -319,7 +339,8 @@ def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
     """Integrate the closed-loop network; x0 defaults to a seeded draw.
 
     x0 may carry leading batch axes (last axis 2N); batches integrate in
-    lockstep on the shared grid.
+    lockstep on the shared grid.  The input is evaluated once, vectorised,
+    at every time the integrator will ask for.
     """
     if x0 is None:
         x0 = initial_state(config)
@@ -327,11 +348,13 @@ def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
     if x0.shape[-1] != 2 * config.n_neurons:
         raise ValueError(
             f"x0 has state dimension {x0.shape[-1]}, expected {2 * config.n_neurons}")
-    times, states = rk4(_closed_loop_field(config), x0, 0.0,
-                        config.t_end if t_end is None else t_end,
-                        config.step if step is None else step)
-    return Trajectory(times=times, states=states,
-                      input_trace=np.asarray(config.input(times), dtype=float))
+    t_end = config.t_end if t_end is None else t_end
+    step = config.step if step is None else step
+    stage_times = np.concatenate(_grid(0.0, t_end, step))
+    r = np.asarray(config.input(stage_times), dtype=float)
+    field = _closed_loop_field(config, dict(zip(stage_times.tolist(), r.tolist())))
+    times, states = rk4(field, x0, 0.0, t_end, step)
+    return Trajectory(times=times, states=states, input_trace=r[:times.size])
 
 
 @dataclass

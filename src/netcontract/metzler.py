@@ -339,6 +339,8 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     T = diag(t).
     """
     M = _as_square(A)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     if scaling is not None:
         t = _vector("scaling", scaling, M.shape[0], positive=True)
         M = M * (t[:, None] / t[None, :])

@@ -1,0 +1,28 @@
+"""Reference implementations that tests compare the library against."""
+
+import numpy as np
+
+from netcontract.integrate import DivergedError
+
+
+def reference_rk4(f, x0, t0, t_end, step):
+    """Classical RK4 written plainly: fresh arrays for every stage, and a
+    finiteness check after every step."""
+    n_steps = max(int(round((t_end - t0) / step)), 1)
+    times = t0 + step * np.arange(n_steps + 1)
+    x = np.asarray(x0, dtype=float)
+    out = np.empty((n_steps + 1,) + x.shape)
+    out[0] = x
+    half = step / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = times[k]
+            k1 = f(t, x)
+            k2 = f(t + half, x + half * k1)
+            k3 = f(t + half, x + half * k2)
+            k4 = f(t + step, x + step * k3)
+            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise DivergedError(times[k + 1])
+            out[k + 1] = x
+    return times, out

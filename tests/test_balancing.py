@@ -219,6 +219,15 @@ class TestBalanceTridiagonal:
         with pytest.raises(ValueError, match="not a Metzler matrix"):
             balance_tridiagonal([[0.0, -2.0], [8.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (0, 0)])
+    def test_non_finite_rejected(self, where, bad):
+        # Unchecked, a NaN band entry gave d = [1, nan].
+        A = np.array([[0.0, 2.0], [1.0, 0.0]])
+        A[where] = bad
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            balance_tridiagonal(A)
+
     def test_sign_checked_on_the_bands(self):
         # A negative band entry fails the Metzler test; a negative entry off
         # the bands is rejected by its magnitude, as any off-band entry is.

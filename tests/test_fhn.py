@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import netcontract.fhn
+from pathlib import Path
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
     _closed_loop_field,
+    DivergedError,
     FhnConfig,
     SinusoidInput,
     SpikeTrainInput,
@@ -33,6 +35,9 @@ from netcontract.metzler import matrix_measure
 from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import random_connected_adjacency
+from reference import reference_rk4
+
+FHN6 = Path(__file__).resolve().parents[1] / "configs" / "fhn6.json"
 
 SIX_RING = np.array([
     [0, 1, 1, 0, 0, 0],
@@ -264,6 +269,100 @@ class TestSimulate:
         with pytest.raises(ValueError, match="state dimension"):
             simulate(six_config(), x0=np.zeros(10))
 
+    @pytest.mark.parametrize("name, bad", [("t_end", np.inf), ("t_end", np.nan),
+                                           ("step", np.nan), ("step", np.inf)])
+    def test_non_finite_horizon_and_step(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            simulate(six_config(), **{name: bad})
+
+
+SPIKES = SpikeTrainInput([0.0, 0.1, 0.4, 1.5], [0.0, 8.0, -1.0, 0.0])
+
+
+def reference_simulate(config, x0, t_end=None, step=None):
+    """The closed loop integrated by the plain RK4 loop, with the field
+    written per call and the input evaluated at each stage's time."""
+    n, c = config.n_neurons, config.c
+    kt = closed_loop_jacobian(config, np.zeros(2 * n)).T
+    drive = np.repeat([c, 0.0], n)
+    offset = np.repeat([0.0, config.a / c], n)
+
+    def f(t, x):
+        dx = x @ kt + (config.input(t) * drive + offset)
+        v = x[..., :n]
+        dx[..., :n] -= (c / 3.0) * (v * v * v)
+        return dx
+
+    return reference_rk4(f, x0, 0.0, config.t_end if t_end is None else t_end,
+                         config.step if step is None else step)
+
+
+def _field_passed_to_rk4(monkeypatch, config, **kwargs):
+    fields = []
+    real = netcontract.fhn.rk4
+    monkeypatch.setattr(netcontract.fhn, "rk4",
+                        lambda f, *args: fields.append(f) or real(f, *args))
+    simulate(config, **kwargs)
+    return fields[0]
+
+
+class TestSimulateMatchesReference:
+    INPUTS = {"sinusoid": (SinusoidInput(), 0.0), "spike_train": (SPIKES, 0.3),
+              "zero": (ZeroInput(), 0.0)}
+
+    @staticmethod
+    def _assert_close(traj, times, states):
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.states - states)) <= 1e-13 * np.max(np.abs(states))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_trajectory_and_input_trace(self, kind, batched):
+        inp, a = self.INPUTS[kind]
+        cfg = six_config(a=a, gamma=0.2, input=inp, t_end=0.7)  # 700 steps
+        x0 = np.random.default_rng(8).uniform(-4.0, 4.0, size=(3, 12) if batched else 12)
+        traj = simulate(cfg, x0=x0)
+        self._assert_close(traj, *reference_simulate(cfg, x0))
+        assert np.array_equal(traj.input_trace, cfg.input(traj.times))
+
+    def test_horizon_and_step_overrides(self):
+        # round(1.0 / 0.3) = 3 steps, ending at 0.9 rather than at t_end; a
+        # weak input keeps the cubic stable at this step.
+        cfg = six_config(a=0.3, input=SpikeTrainInput([0.0, 0.1, 0.4, 1.5],
+                                                      [0.0, 0.5, -0.2, 0.0]))
+        x0 = np.random.default_rng(9).uniform(-0.5, 0.5, size=12)
+        traj = simulate(cfg, x0=x0, t_end=1.0, step=0.3)
+        assert traj.times.shape == (4,)
+        assert traj.times[-1] == pytest.approx(0.9)
+        self._assert_close(traj, *reference_simulate(cfg, x0, t_end=1.0, step=0.3))
+        assert np.array_equal(traj.input_trace, cfg.input(traj.times))
+
+    def test_field_off_the_grid(self, monkeypatch):
+        # Between grid times the field evaluates the input itself; the
+        # nearest half step, 0.0125, is 0.074 away in dv on this spike.
+        cfg = six_config(a=0.3, gamma=0.2, input=SPIKES, gains=np.full(6, 6.2))
+        f = _field_passed_to_rk4(monkeypatch, cfg, t_end=0.05)
+        L, ell = laplacian(SIX_RING), cfg.gains
+        x = np.random.default_rng(10).uniform(-4.0, 4.0, size=12)
+        t = 0.0123456
+        v, w = x[:6], x[6:]
+        dv = cfg.c * (v + w - v ** 3 / 3.0 + cfg.input(t)) - cfg.gamma * (L @ v) - ell * v
+        dw = -(v - cfg.a + cfg.b * w) / cfg.c
+        ref = np.concatenate([dv, dw])
+        assert np.all(np.abs(f(t, x) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("w", [1e103, 1e200])
+    def test_overflowing_recovery_state_diverges_on_first_step(self, w):
+        # w^3 overflows from |w| > 5.6e102; the trajectory diverges on the
+        # first step either way.
+        cfg = load_config(FHN6)
+        x0 = np.concatenate([np.zeros(6), np.full(6, w)])
+        with pytest.raises(DivergedError) as ref:
+            reference_simulate(cfg, x0)
+        with pytest.raises(DivergedError) as got:
+            simulate(cfg, x0=x0)
+        assert got.value.time == ref.value.time == cfg.step
+
 
 class TestGapDecay:
     def test_certified_envelope_and_derivative(self):
@@ -453,8 +552,7 @@ class TestConfigJson:
             config_from_json({"adjacency": [[0]], key: value})
 
     def test_shipped_config_loads(self):
-        from pathlib import Path
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "fhn6.json")
+        cfg = load_config(FHN6)
         assert np.array_equal(cfg.adjacency, SIX_RING)
         assert cfg.gains is None
         assert cfg.seed == 7
@@ -510,6 +608,14 @@ class TestNonFiniteNumbers:
         args = {"c": 6.0, "gamma": 0.05, "eta": 0.05, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be"):
             fhn_gains(laplacian(SIX_RING), **args)
+
+    @pytest.mark.parametrize("c, gamma, name", [(np.nan, np.inf, "c"), (0.0, 0.05, "c"),
+                                                (6.0, np.inf, "gamma"), (6.0, np.nan, "gamma"),
+                                                (6.0, -0.1, "gamma")])
+    def test_voltage_jacobian_bound_follows_fhn_gains(self, c, gamma, name):
+        # Unchecked, c = nan and gamma = inf gave an all-NaN bound.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            voltage_jacobian_bound(np.zeros((2, 2)), c, gamma)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_config_gains(self, bad):

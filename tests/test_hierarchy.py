@@ -369,6 +369,14 @@ class TestTridiagonalGains:
         with pytest.raises(HypothesisViolatedError):
             tridiagonal_gains(np.diag([-5.0, 0.0]) + np.array([[0, 1], [1, 0]]), 0.5)
 
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_rejected(self, where):
+        # Unchecked, a NaN band entry gave NaN gains.
+        J = np.array([[0.0, 1.0], [1.0, 0.0]])
+        J[where] = np.nan
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            tridiagonal_gains(J, 0.5)
+
 
 class TestNonFiniteRate:
     @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, "0.5"])

@@ -198,6 +198,14 @@ class TestNonFinite:
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
                 entry(self.spoiled(base, bad, where))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("norm", ["one", "two", "inf"])
+    def test_matrix_measure_rejected(self, norm, bad):
+        # Unchecked, a NaN diagonal entry gave mu_inf = nan.
+        for where in ((0, 0), (0, 1)):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                matrix_measure(self.spoiled([[0.0, 1.0], [1.0, -1.0]], bad, where), norm)
+
 
 class TestMetzlerMatrix:
     def test_rejects_negative_off_diagonal(self):
