@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
 
 from netcontract.integrate import DivergedError, _grid, rk4
-from netcontract.metzler import _finite, _float_array, _vector, matrix_measure
+from netcontract.metzler import _finite, _float_array, _integer, _vector, matrix_measure
 
 __all__ = [
     "SinusoidInput", "SpikeTrainInput", "ZeroInput", "FhnConfig", "Trajectory",
@@ -38,13 +37,6 @@ __all__ = [
     "input_from_json", "input_to_json", "config_from_json", "config_to_json",
     "load_config", "write_trajectory_csv", "DivergedError",
 ]
-
-
-def _integer(name: str, value) -> int:
-    """Reject anything but an integer (bool included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from netcontract.metzler import (
     MetzlerMatrix,
     _as_square,
     _finite,
+    _integer,
     _measure,
     _vector,
     norm_kind,
@@ -131,9 +132,12 @@ def operator_norm(M, out_kind="two", in_kind=None) -> float:
     Exact formulas: domain norm 1 -> max over columns of the codomain norm;
     codomain norm inf -> max over rows of the domain's dual norm; (2, 2) ->
     largest singular value.  The remaining pairs (inf->1, inf->2, 2->1) have
-    no tractable exact formula and raise ValueError.
+    no tractable exact formula and raise ValueError, as does a NaN or
+    infinite entry.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     out_kind = norm_kind(out_kind)
     in_kind = out_kind if in_kind is None else norm_kind(in_kind)
     if in_kind == "one":
@@ -155,26 +159,54 @@ def block_bound_matrix(A, partition: BlockPartition) -> np.ndarray:
     block j's norm to block i's.  The measure of A in the composite norm
     (Perron-weighted outer max) is bounded by the abscissa of B.  Blocks of
     two kinds always couple in a direction ``operator_norm`` cannot take.
+
+    Block pairs are grouped by (diagonal or coupling, rows, columns), and
+    each group is bounded with one ``_measure`` or ``np.linalg.norm`` call on
+    a stacked array.  A block equal in every matrix of the stack, such as a
+    linear coupling, is bounded once, from the first matrix.  A NaN or
+    infinite entry raises ValueError.
     """
     M = np.asarray(A.entries if isinstance(A, MetzlerMatrix) else A, dtype=float)
-    if M.ndim < 2 or M.shape[-2:] != (partition.total,) * 2:
-        raise ValueError(f"partition covers {partition.total} indices, got shape {M.shape}")
+    n = partition.total
+    if M.ndim < 2 or M.shape[-2:] != (n, n):
+        raise ValueError(f"partition covers {n} indices, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     kind, *others = {bn.kind for bn in partition.block_norms}
     if others:
         raise ValueError("no tractable exact formula for couplings of different norm kinds")
+    quotient = None
     if any(bn.scaling is not None for bn in partition.block_norms):
         # T M T^{-1} with T the block scalings end to end.
         t = np.concatenate([np.ones(size) if bn.scaling is None else bn.scaling
                             for size, bn in zip(partition.sizes, partition.block_norms)])
-        M = M * (t[:, None] / t[None, :])
-    sl = partition.slices()
-    m = len(sl)
-    B = np.empty(M.shape[:-2] + (m, m))
-    for i, j in itertools.product(range(m), repeat=2):
-        blk = M[..., sl[i], sl[j]]
-        B[..., i, j] = (_measure(blk, kind) if i == j else
-                        np.linalg.norm(blk, _ORD[kind], axis=(-2, -1)))
-    return B
+        quotient = (t[:, None] / t[None, :]).ravel()
+    flat = M.reshape(-1, n * n)
+    # Entries equal in every matrix of the stack.
+    fixed = (flat == flat[:1]).all(axis=0)
+    sizes, starts = np.array(partition.sizes), np.array(partition.offsets)
+    m = sizes.size
+    rows, cols = np.divmod(np.arange(m * m), m)
+    # One group per (diagonal or coupling, rows, columns) of the block pairs.
+    key = (sizes[rows] * (n + 1) + sizes[cols]) * 2 + (rows != cols)
+    B = np.empty((flat.shape[0], m, m))
+    for group in np.unique(key):
+        r, c = rows[key == group], cols[key == group]
+        a, b = sizes[r[0]], sizes[c[0]]
+        # Flat indices of each pair's block, shape (pairs, a, b).
+        index = ((starts[r, None, None] + np.arange(a)[:, None]) * n
+                 + starts[c, None, None] + np.arange(b))
+        const = fixed[index].all(axis=(1, 2))
+        # Constant blocks from the first matrix alone, the others from all.
+        for pick, stack in ((const, flat[:1]), (~const, flat)):
+            if pick.any():
+                blk = np.take(stack, index[pick], axis=1)
+                if quotient is not None:
+                    blk *= quotient[index[pick]]
+                B[:, r[pick], c[pick]] = (
+                    _measure(blk, kind) if r[0] == c[0] else
+                    np.linalg.norm(blk, _ORD[kind], axis=(-2, -1)))
+    return B.reshape(M.shape[:-2] + (m, m))
 
 
 def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
@@ -207,17 +239,20 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     points: ``samples`` uniform draws, the box corners (skipped when there
     are more than 4096), and the center, at every t in ``t_grid``.  The
     sampler is called once per point, in that order, and its outputs are
-    bounded in stacks of about ``_STACK_BYTES``.  The result is an
-    underestimate of the true supremum and is flagged ``"sampled"``.
+    bounded in stacks of about ``_STACK_BYTES`` by ``block_bound_matrix``:
+    one measure or norm call per group of same-shaped block pairs, and a
+    block equal in every Jacobian of a stack, such as a linear coupling,
+    bounded once.  The result is an underestimate of the true supremum and
+    is flagged ``"sampled"``.  Non-finite domain bounds or ``t_grid``
+    entries, a ``samples`` that is not a positive integer, and a NaN or
+    infinite Jacobian entry raise ValueError.
     """
-    lo = np.asarray(domain[0], dtype=float).ravel()
-    hi = np.asarray(domain[1], dtype=float).ravel()
-    if lo.shape != hi.shape:
-        raise ValueError("domain bounds must have matching shapes")
+    lo = _vector("domain lower bounds", domain[0], np.size(domain[0]))
+    hi = _vector("domain upper bounds", domain[1], lo.shape[0])
     if np.any(lo > hi):
         raise ValueError("domain lower bound exceeds upper bound")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    t_grid = _vector("t_grid", t_grid, np.size(t_grid))
+    samples = _integer("samples", samples, positive=True)
     dim = lo.shape[0]
     rng = np.random.default_rng(seed)
     points = [rng.uniform(lo, hi, size=(samples, dim)), (lo + hi) / 2.0]

@@ -62,6 +62,16 @@ def _finite(name: str, value, positive: bool = False) -> float:
     return float(value)
 
 
+def _integer(name: str, value, positive: bool = False) -> int:
+    """An integer (a positive one if asked) as an int; a bool or anything
+    else raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (positive and value <= 0)):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def _float_array(name: str, value) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)

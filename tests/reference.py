@@ -1,8 +1,11 @@
 """Reference implementations that tests compare the library against."""
 
+import itertools
+
 import numpy as np
 
 from netcontract.integrate import DivergedError
+from netcontract.metzler import _measure
 
 
 def reference_rk4(f, x0, t0, t_end, step):
@@ -26,3 +29,22 @@ def reference_rk4(f, x0, t0, t_end, step):
                 raise DivergedError(times[k + 1])
             out[k + 1] = x
     return times, out
+
+
+def reference_block_bound_matrix(M, partition):
+    """The block bound matrix pair by pair: the scalings applied to the whole
+    stack, then one ``_measure`` or ``np.linalg.norm`` call per block pair."""
+    M = np.asarray(M, dtype=float)
+    kind = partition.block_norms[0].kind
+    t = np.concatenate([np.ones(size) if bn.scaling is None else bn.scaling
+                        for size, bn in zip(partition.sizes, partition.block_norms)])
+    M = M * (t[:, None] / t[None, :])
+    sl = partition.slices()
+    m = len(sl)
+    B = np.empty(M.shape[:-2] + (m, m))
+    for i, j in itertools.product(range(m), repeat=2):
+        blk = M[..., sl[i], sl[j]]
+        B[..., i, j] = (_measure(blk, kind) if i == j else
+                        np.linalg.norm(blk, {"one": 1, "two": 2, "inf": np.inf}[kind],
+                                       axis=(-2, -1)))
+    return B

@@ -21,6 +21,7 @@ from netcontract.metzler import matrix_measure, perron_pair, spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import metzler_matrices, random_tridiagonal_metzler
+from reference import reference_block_bound_matrix
 
 WORKED_J = np.array([[1.0, 2.0, 0.0], [8.0, 1.0, 3.0], [0.0, 12.0, 1.0]])
 
@@ -181,6 +182,101 @@ class TestStackedBlockBound:
                 block_bound_matrix(bad, part)
 
 
+def _hier_stack(rng, n=8, samples=101, c=6.0, b=2.0, gamma=0.05):
+    """A stack shaped like the FHN Jacobian in (v_i, w_i) blocks: each
+    diagonal block depends on a sampled v_i, each coupling block is the
+    constant gamma * a_ij in its (v, v) entry."""
+    adj = (rng.uniform(size=(n, n)) < 0.4) * rng.uniform(0.5, 1.5, size=(n, n))
+    np.fill_diagonal(adj, 0.0)
+    J = np.zeros((samples, 2 * n, 2 * n))
+    J[:, 0::2, 0::2] = gamma * adj
+    v = rng.uniform(-0.9, 0.6, size=(samples, n))
+    i = np.arange(n)
+    J[:, 2 * i, 2 * i] = c * (1.0 - v ** 2) - gamma * adj.sum(axis=1)
+    J[:, 2 * i, 2 * i + 1] = c
+    J[:, 2 * i + 1, 2 * i] = -1.0 / c
+    J[:, 2 * i + 1, 2 * i + 1] = -b / c
+    part = BlockPartition((2,) * n, tuple(BlockNorm("two", [1.0, c]) for _ in range(n)))
+    return J, part
+
+
+class TestGroupedBlockBound:
+    """block_bound_matrix against the pair-by-pair loop it replaced.  Every
+    case here, the 1- and inf-norms included, came out bit-identical."""
+
+    @pytest.mark.parametrize("kind", ["one", "two", "inf"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pairwise_loop(self, kind, scaled, lead, seed):
+        rng = np.random.default_rng([seed, len(lead)])
+        sizes = tuple(int(s) for s in rng.choice([1, 2, 3, 5, 9], size=rng.integers(2, 6)))
+        part = BlockPartition(sizes, tuple(
+            BlockNorm(kind, rng.uniform(0.3, 3.0, s) if scaled and rng.random() < 0.7 else None)
+            for s in sizes))
+        n = part.total
+        A = rng.normal(size=lead + (n, n))
+        # Copy blocks of the first matrix into every matrix of the stack, so
+        # that constant and varying blocks share a group.  Some copies then
+        # differ in the last matrix only, or in one entry only.
+        first = A[(0,) * len(lead)].copy()
+        for i, j in np.ndindex(len(sizes), len(sizes)):
+            case = rng.integers(4)
+            if case:
+                si, sj = part.slices()[i], part.slices()[j]
+                varying = A[..., si, sj].copy()
+                A[..., si, sj] = first[si, sj]
+                if case == 2:
+                    last = (-1,) * len(lead)
+                    A[last + (si, sj)] = varying[last]
+                elif case == 3:
+                    A[..., si.start, sj.start] = varying[..., 0, 0]
+        assert np.array_equal(block_bound_matrix(A, part),
+                              reference_block_bound_matrix(A, part))
+
+    def test_hier_shape(self):
+        J, part = _hier_stack(np.random.default_rng(11))
+        assert np.array_equal(block_bound_matrix(J, part),
+                              reference_block_bound_matrix(J, part))
+
+    def test_empty_stack(self):
+        part = BlockPartition.uniform([2, 1])
+        B = block_bound_matrix(np.zeros((0, 3, 3)), part)
+        assert B.shape == (0, 2, 2)
+
+    def test_constant_couplings_bounded_once(self, monkeypatch):
+        J, part = _hier_stack(np.random.default_rng(12))
+        seen = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(x)[:-2])))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        block_bound_matrix(J, part)
+        # The 56 coupling blocks of 8 neurons in one call, not 56 x 101.
+        assert seen == [8 * 7]
+
+
+class TestNonFiniteMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 2), (2, 1)])
+    def test_block_bound_matrix(self, bad, where):
+        # Unchecked, a NaN came out in B and an inf coupling gave NaN.
+        A = np.ones((4, 3, 3))
+        A[(2,) + where] = bad
+        for M in (A, A[2]):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                block_bound_matrix(M, BlockPartition.uniform([2, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_operator_norm(self, bad):
+        # Unchecked, NaN raised LinAlgError: SVD did not converge.
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            operator_norm([[1.0, bad], [0.0, 1.0]])
+
+
 class TestCompositeNorm:
     def test_blockwise_values(self):
         part = BlockPartition((2, 2), (BlockNorm("one"), BlockNorm("inf")))
@@ -280,6 +376,50 @@ class TestJacobianSupEstimate:
         with pytest.raises(ValueError):
             jacobian_sup_estimate(lambda t, x: np.eye(1), part,
                                   (np.array([2.0]), np.array([1.0])))
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, "10", None])
+    def test_samples_must_be_positive_integer(self, samples):
+        # 2.5 was a TypeError from numpy.
+        with pytest.raises(ValueError, match="^samples must be a positive integer"):
+            jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
+                                  ([0.0], [1.0]), samples=samples)
+
+    def test_numpy_integer_samples(self):
+        est = jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
+                                    ([0.0], [1.0]), samples=np.int64(3))
+        assert est.sample_count == 3 + 2 + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_domain_bounds_must_be_finite(self, bad, side):
+        # NaN or inf bounds were numpy's OverflowError: Range exceeds valid bounds.
+        dom = [[0.0, 0.0], [1.0, 1.0]]
+        dom[side][1] = bad
+        with pytest.raises(ValueError, match="^domain (lower|upper) bounds must"):
+            jacobian_sup_estimate(lambda t, x: np.eye(2), BlockPartition.uniform([1, 1]),
+                                  dom, samples=3)
+
+    def test_domain_bounds_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^domain upper bounds have length"):
+            jacobian_sup_estimate(lambda t, x: np.eye(2), BlockPartition.uniform([1, 1]),
+                                  ([0.0, 0.0], [1.0]), samples=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_t_grid_must_be_finite(self, bad):
+        # A NaN time reached the sampler silently.
+        calls = []
+        with pytest.raises(ValueError, match="^t_grid must"):
+            jacobian_sup_estimate(lambda t, x: calls.append(t) or np.eye(1),
+                                  BlockPartition.uniform([1]), ([0.0], [1.0]),
+                                  t_grid=(0.0, bad), samples=3)
+        assert calls == []
+
+    def test_non_finite_sampler_output_rejected(self):
+        # A NaN Jacobian was LinAlgError: SVD did not converge.
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            jacobian_sup_estimate(lambda t, x: np.full((2, 2), np.nan),
+                                  BlockPartition.uniform([1, 1]), ([0.0, 0.0], [1.0, 1.0]),
+                                  samples=3)
 
 
 class TestSynthesizeGains:
