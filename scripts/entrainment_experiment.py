@@ -8,6 +8,7 @@ scaled gaps are written as CSV for plotting.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from itertools import combinations
@@ -41,7 +42,7 @@ def main(argv=None):
 
     config = load_config(args.config)
     if args.t_end is not None:
-        config.t_end = args.t_end
+        config = dataclasses.replace(config, t_end=args.t_end)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

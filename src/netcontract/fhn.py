@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -102,8 +103,18 @@ def laplacian(adjacency) -> np.ndarray:
     return np.diag(M.sum(axis=1)) - M
 
 
-@dataclass
+@dataclass(frozen=True)
 class FhnConfig:
+    """One FitzHugh-Nagumo network and its run settings, as an immutable value.
+
+    ``adjacency`` and explicit ``gains`` are stored as read-only float copies,
+    so the caller's arrays stay writable and unchanged.  Assigning to a field
+    raises ``dataclasses.FrozenInstanceError``; derive a changed config with
+    ``dataclasses.replace``, which validates again.  The Laplacian, the
+    resolved gains and the linear part J(0) of the closed loop are computed
+    once per config and are read-only too.
+    """
+
     adjacency: np.ndarray
     a: float = 0.0
     b: float = 2.0
@@ -117,9 +128,11 @@ class FhnConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency, dtype=float)
-        laplacian(self.adjacency)  # validates shape and entries
-        self.seed = _integer("seed", self.seed)
+        adjacency = np.array(self.adjacency, dtype=float)
+        object.__setattr__(self, "adjacency", _read_only(adjacency))
+        # laplacian() validates shape and entries; its result is kept
+        object.__setattr__(self, "_laplacian", _read_only(laplacian(adjacency)))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         for name in ("a", "b", "gamma", "eta"):
             _finite(name, getattr(self, name))
         for name in ("c", "t_end", "step"):
@@ -128,11 +141,41 @@ class FhnConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.gains is not None:
-            self.gains = _vector("gains", self.gains, self.n_neurons)
+            gains = _vector("gains", self.gains, self.n_neurons).copy()
+            object.__setattr__(self, "gains", _read_only(gains))
 
     @property
     def n_neurons(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def _gains(self) -> np.ndarray:
+        """The voltage gains ell: explicit, or the minimum-effort ones for eta."""
+        if self.gains is not None:
+            return self.gains
+        return _read_only(fhn_gains(self._laplacian, self.c, self.gamma, self.eta))
+
+    @cached_property
+    def _gamma_deg(self) -> np.ndarray:
+        """gamma * deg, the diffusive self-term of each voltage."""
+        return _read_only(self.gamma * self.adjacency.sum(axis=1))
+
+    @cached_property
+    def _jacobian0(self) -> np.ndarray:
+        """J(0) with a zero voltage diagonal: gamma A, c I, -I/c and -(b/c) I."""
+        n, c = self.n_neurons, self.c
+        i = np.arange(n)
+        J = np.zeros((2 * n, 2 * n))
+        J[:n, :n] = self.gamma * self.adjacency  # zero diagonal, as A's
+        J[i, n + i] = c
+        J[n + i, i] = -1.0 / c
+        J[n + i, n + i] = -self.b / c
+        return _read_only(J)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _rates(c, gamma) -> tuple[float, float]:
@@ -170,9 +213,8 @@ def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
 
 
 def resolved_gains(config: FhnConfig) -> np.ndarray:
-    if config.gains is not None:
-        return config.gains
-    return fhn_gains(laplacian(config.adjacency), config.c, config.gamma, config.eta)
+    """The config's voltage gains, explicit or closed-form; read-only."""
+    return config._gains
 
 
 def scaled_norm_weights(config: FhnConfig) -> np.ndarray:
@@ -192,20 +234,19 @@ def scaled_state_norm(x, c: float) -> np.ndarray:
 
 
 def closed_loop_jacobian(config: FhnConfig, x) -> np.ndarray:
-    """Jacobian of the closed-loop field at a state x of shape (2N,)."""
+    """Jacobian of the closed-loop field at a state x of shape (2N,).
+
+    Only the voltage diagonal c (1 - v^2) - gamma deg - ell depends on x: it
+    is written per call into a copy of the config's cached J(0).
+    """
     n = config.n_neurons
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * n,):
         raise ValueError(f"x has shape {x.shape}, expected state dimension {2 * n}")
     v = x[:n]
-    c, gamma, A = config.c, config.gamma, config.adjacency
-    i = np.arange(n)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = gamma * A
-    J[i, i] = c * (1.0 - v * v) - gamma * A.sum(axis=1) - resolved_gains(config)
-    J[i, n + i] = c
-    J[n + i, i] = -1.0 / c
-    J[n + i, n + i] = -config.b / c
+    J = config._jacobian0.copy()
+    J.reshape(-1)[:n * (2 * n + 1):2 * n + 1] = (
+        config.c * (1.0 - v * v) - config._gamma_deg - config._gains)
     return J
 
 
@@ -241,8 +282,7 @@ def certify(config: FhnConfig) -> ContractionCertificate:
     The nonnegativity of the bound plus eta*I is reported because the
     minimum-gain closed form is only guaranteed optimal under it.
     """
-    L = laplacian(config.adjacency)
-    ell = resolved_gains(config)
+    L, ell = config._laplacian, config._gains
     eta = config.eta
     bound = voltage_jacobian_bound(L, config.c, config.gamma)
     closed_bound = bound - np.diag(ell)

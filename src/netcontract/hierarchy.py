@@ -243,15 +243,21 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     one measure or norm call per group of same-shaped block pairs, and a
     block equal in every Jacobian of a stack, such as a linear coupling,
     bounded once.  The result is an underestimate of the true supremum and
-    is flagged ``"sampled"``.  Non-finite domain bounds or ``t_grid``
-    entries, a ``samples`` that is not a positive integer, and a NaN or
-    infinite Jacobian entry raise ValueError.
+    is flagged ``"sampled"``.  Non-finite domain bounds, a domain whose
+    width hi - lo overflows, an empty or non-finite ``t_grid``, a
+    ``samples`` that is not a positive integer, and a NaN or infinite
+    Jacobian entry raise ValueError.
     """
     lo = _vector("domain lower bounds", domain[0], np.size(domain[0]))
     hi = _vector("domain upper bounds", domain[1], lo.shape[0])
     if np.any(lo > hi):
         raise ValueError("domain lower bound exceeds upper bound")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ValueError(f"domain width hi - lo overflows: domain = ({lo}, {hi})")
     t_grid = _vector("t_grid", t_grid, np.size(t_grid))
+    if t_grid.size == 0:
+        raise ValueError("t_grid must hold at least one time")
     samples = _integer("samples", samples, positive=True)
     dim = lo.shape[0]
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from netcontract.fhn import fhn_gains, laplacian
 from netcontract.integrate import DivergedError
 from netcontract.metzler import _measure
 
@@ -48,3 +49,21 @@ def reference_block_bound_matrix(M, partition):
                         np.linalg.norm(blk, {"one": 1, "two": 2, "inf": np.inf}[kind],
                                        axis=(-2, -1)))
     return B
+
+
+def reference_closed_loop_jacobian(config, x):
+    """The FitzHugh-Nagumo closed-loop Jacobian at x written from scratch per
+    call: the gains resolved, a zeroed 2N x 2N array, then every block."""
+    n = config.n_neurons
+    v = np.asarray(x, dtype=float)[:n]
+    c, gamma, A = config.c, config.gamma, config.adjacency
+    ell = (config.gains if config.gains is not None else
+           fhn_gains(laplacian(A), c, gamma, config.eta))
+    i = np.arange(n)
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, :n] = gamma * A
+    J[i, i] = c * (1.0 - v * v) - gamma * A.sum(axis=1) - ell
+    J[i, n + i] = c
+    J[n + i, i] = -1.0 / c
+    J[n + i, n + i] = -config.b / c
+    return J

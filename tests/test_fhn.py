@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from netcontract.metzler import matrix_measure
 from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import random_connected_adjacency
-from reference import reference_rk4
+from reference import reference_closed_loop_jacobian, reference_rk4
 
 FHN6 = Path(__file__).resolve().parents[1] / "configs" / "fhn6.json"
 
@@ -197,6 +199,48 @@ class TestClosedLoopJacobian:
                             lambda adj: calls.append(1) or laplacian(adj))
         closed_loop_jacobian(cfg, np.ones(12))
         assert calls == []
+
+    @staticmethod
+    def _adjacency(n, rng):
+        # directed, so the auto gains differ from node to node
+        if n == 6:
+            return SIX_RING
+        adj = (rng.uniform(size=(n, n)) < 0.3).astype(float)
+        np.fill_diagonal(adj, 0.0)
+        return adj
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 30])
+    @pytest.mark.parametrize("auto", [False, True])
+    @pytest.mark.parametrize("a, b", [(0.3, 2.0), (0.0, 0.0)])
+    def test_matches_reference_bit_for_bit(self, n, auto, a, b):
+        rng = np.random.default_rng(n)
+        adj = self._adjacency(n, rng)
+        gains = None if auto else rng.uniform(5.0, 7.0, size=n)
+        cfg = FhnConfig(adjacency=adj, a=a, b=b, gamma=0.2, gains=gains)
+        for x in rng.uniform(-4.0, 4.0, size=(50, 2 * n)):
+            assert np.array_equal(closed_loop_jacobian(cfg, x),
+                                  reference_closed_loop_jacobian(cfg, x))
+
+    def test_returns_a_fresh_writable_array(self):
+        cfg = six_config()
+        J = closed_loop_jacobian(cfg, np.zeros(12))
+        J[:] = np.nan
+        assert np.array_equal(closed_loop_jacobian(cfg, np.zeros(12)),
+                              reference_closed_loop_jacobian(cfg, np.zeros(12)))
+
+    def test_laplacian_built_once_per_config(self, monkeypatch):
+        # The validation builds it; the gains, certify, simulate and every
+        # Jacobian reuse that one.
+        calls = []
+        monkeypatch.setattr(netcontract.fhn, "laplacian",
+                            lambda adj: calls.append(1) or laplacian(adj))
+        cfg = six_config(t_end=0.05)
+        assert cfg.gains is None
+        certify(cfg)
+        simulate(cfg)
+        for x in np.random.default_rng(3).uniform(-2.0, 2.0, size=(100, 12)):
+            closed_loop_jacobian(cfg, x)
+        assert len(calls) == 1
 
 
 class TestClosedLoopField:
@@ -590,6 +634,52 @@ class TestConfigValidation:
             FhnConfig(adjacency=[[0, 2], [2, 0]])
         with pytest.raises(ValueError, match="step"):
             six_config(step=0.0)
+
+
+class TestConfigImmutable:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(FhnConfig)])
+    def test_field_assignment_raises(self, name):
+        cfg = six_config(gains=np.full(6, 6.1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    @pytest.mark.parametrize("name", ["adjacency", "gains"])
+    def test_arrays_are_read_only(self, name):
+        cfg = six_config(gains=np.full(6, 6.1))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg, name)[0] = 0.0
+
+    def test_resolved_gains_are_read_only(self):
+        ell = resolved_gains(six_config())
+        with pytest.raises(ValueError, match="read-only"):
+            ell[0] = 0.0
+
+    def test_caller_arrays_stay_writable_and_unchanged(self):
+        adj, gains = SIX_RING.copy(), np.full(6, 6.1)
+        cfg = FhnConfig(adjacency=adj, gains=gains)
+        assert adj.flags.writeable and gains.flags.writeable
+        adj[0, 1], gains[0] = 0.0, 0.0
+        assert np.array_equal(cfg.adjacency, SIX_RING)
+        assert np.array_equal(cfg.gains, np.full(6, 6.1))
+
+    def test_replace_derives_a_validated_config(self):
+        cfg = six_config()
+        longer = dataclasses.replace(cfg, t_end=50.0)
+        assert longer.t_end == 50.0 and cfg.t_end == 25.0
+        assert np.array_equal(longer.adjacency, cfg.adjacency)
+        with pytest.raises(ValueError, match="^b must be nonnegative$"):
+            dataclasses.replace(cfg, b=-1.0)
+        with pytest.raises(ValueError, match="^gains have length 3, expected 6$"):
+            dataclasses.replace(cfg, gains=[1.0] * 3)
+
+    def test_replaced_gains_reach_the_jacobian(self):
+        cfg = six_config()
+        explicit = dataclasses.replace(cfg, gains=np.full(6, 7.0))
+        x = np.random.default_rng(9).uniform(-2.0, 2.0, size=12)
+        assert np.array_equal(closed_loop_jacobian(explicit, x),
+                              reference_closed_loop_jacobian(explicit, x))
+        assert not np.array_equal(closed_loop_jacobian(explicit, x),
+                                  closed_loop_jacobian(cfg, x))
 
 
 class TestNonFiniteNumbers:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,36 @@ class TestJacobianSupEstimate:
                                   BlockPartition.uniform([1]), ([0.0], [1.0]),
                                   t_grid=(0.0, bad), samples=3)
         assert calls == []
+
+    @pytest.mark.parametrize("dom", [([-1e308], [1e308]),
+                                     ([0.0, -1.5e308], [1.0, 1.5e308])])
+    def test_domain_width_must_not_overflow(self, dom):
+        # Was numpy's OverflowError: Range exceeds valid bounds, after a
+        # RuntimeWarning.
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^domain width hi - lo overflows: domain"):
+                jacobian_sup_estimate(lambda t, x: calls.append(x) or np.eye(len(x)),
+                                      BlockPartition.uniform([1] * len(dom[0])), dom,
+                                      samples=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("t_grid", [(), [], np.array([])])
+    def test_t_grid_must_not_be_empty(self, t_grid):
+        # Was a j_hat of -inf from 0 samples, flagged "sampled", which
+        # synthesize_gains then rejected for a "negative entry (-inf)".
+        calls, reached = [], []
+
+        def synthesize(bound):
+            reached.append(bound)
+            return synthesize_gains(bound, np.ones(1), 0.5)
+
+        with pytest.raises(ValueError, match="^t_grid must hold at least one time$"):
+            synthesize(jacobian_sup_estimate(lambda t, x: calls.append(t) or np.eye(1),
+                                             BlockPartition.uniform([1]), ([0.0], [1.0]),
+                                             t_grid=t_grid, samples=3))
+        assert calls == [] and reached == []
 
     def test_non_finite_sampler_output_rejected(self):
         # A NaN Jacobian was LinAlgError: SVD did not converge.
