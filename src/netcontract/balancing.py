@@ -24,9 +24,11 @@ from netcontract.metzler import (
     IRREDUCIBLE,
     STRUCTURAL_ZERO,
     Classification,
+    NotBalancableError,  # re-exported as balancing.NotBalancableError
     _as_square,
     _by_component,
     _finite,
+    _finite_entries,
     _metzler_classified,
     _vector,
 )
@@ -39,11 +41,6 @@ _MAX_HALVINGS = 60
 # Scaling entries are clamped to this range to prevent overflow on badly
 # conditioned input; hitting the clamp is surfaced via BalancingResult.clamped.
 SCALING_CLAMP = (1e-150, 1e150)
-
-
-class NotBalancableError(ValueError):
-    """No positive diagonal similarity can balance this matrix
-    (reducible but not completely reducible)."""
 
 
 class BalanceConvergenceError(RuntimeError):
@@ -74,9 +71,10 @@ def imbalance(A) -> float:
     """Normalized worst mismatch between off-diagonal row and column sums.
 
     Zero exactly when the matrix is balanced; the denominator 1 + max_i
-    (|r_i| + |c_i|) makes the figure scale-free.
+    (|r_i| + |c_i|) makes the figure scale-free.  Any square matrix is taken;
+    a NaN or infinite entry, on the diagonal too, raises ValueError.
     """
-    M = _as_square(A)
+    M = _finite_entries(_as_square(A))
     off = M.copy()
     np.fill_diagonal(off, 0.0)
     return _imbalance(off.sum(axis=1), off.sum(axis=0))
@@ -208,13 +206,9 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
     scaling entry normalized to 1.  Convergence means imbalance <= tol on
     every block; ``max_sweeps`` caps the Newton steps (``iterations`` counts
     them), and exceeding it or stalling raises BalanceConvergenceError with
-    the last residual.
+    the last residual.  Other reducible input raises NotBalancableError.
     """
-    M, cls, off = _metzler_classified(A)
-    if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
-        raise NotBalancableError(
-            f"matrix is {cls.kind}: balancing requires an irreducible or "
-            "completely reducible Metzler matrix")
+    M, cls, off = _metzler_classified(A, "balance", IRREDUCIBLE, COMPLETELY_REDUCIBLE)
     d, iterations, clamped = _balance(off, cls, tol, max_sweeps, d0)
     # The dense result: scale the off-diagonal part in place, take the
     # residual from its sums, then restore the diagonal, which the similarity
@@ -230,8 +224,7 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
 
 def _tridiagonal_bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # NaN fails none of the comparisons below, so it is rejected first.
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
+    _finite_entries(M)
     sub, sup = np.diag(M, -1), np.diag(M, 1)
     # Off-band entries are rejected by magnitude, so the bands' signs decide
     # the Metzler test; a 1 x 1 matrix has empty bands.
@@ -258,7 +251,9 @@ def balance_tridiagonal(A) -> np.ndarray:
 
 
 def potential(A, d) -> float:
-    """Balancing potential f(d) = sum_ij a_ij d_j / d_i (d > 0)."""
-    M = _as_square(A)
+    """Balancing potential f(d) = sum_ij a_ij d_j / d_i (d > 0); a NaN or
+    infinite entry of A, or a d that is not n finite positive numbers, raises
+    ValueError."""
+    M = _finite_entries(_as_square(A))
     dd = _vector("d", d, M.shape[0], positive=True)
     return float((M * (dd[None, :] / dd[:, None])).sum())

@@ -27,7 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from netcontract.integrate import DivergedError, _grid, rk4
-from netcontract.metzler import _finite, _float_array, _integer, _vector, matrix_measure
+from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_array, _integer,
+                                  _vector, matrix_measure)
 
 __all__ = [
     "SinusoidInput", "SpikeTrainInput", "ZeroInput", "FhnConfig", "Trajectory",
@@ -92,10 +93,10 @@ class ZeroInput:
 
 
 def laplacian(adjacency) -> np.ndarray:
-    """Graph Laplacian diag(M 1) - M of a binary adjacency (zero diagonal)."""
+    """Graph Laplacian diag(M 1) - M of a non-empty binary adjacency (zero diagonal)."""
     M = np.asarray(adjacency, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"adjacency must be a non-empty square matrix, got shape {M.shape}")
     if np.any(np.diag(M) != 0):
         raise ValueError("adjacency has nonzero diagonal entries")
     if not np.isin(M, (0.0, 1.0)).all():
@@ -103,7 +104,7 @@ def laplacian(adjacency) -> np.ndarray:
     return np.diag(M.sum(axis=1)) - M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FhnConfig:
     """One FitzHugh-Nagumo network and its run settings, as an immutable value.
 
@@ -112,7 +113,7 @@ class FhnConfig:
     raises ``dataclasses.FrozenInstanceError``; derive a changed config with
     ``dataclasses.replace``, which validates again.  The Laplacian, the
     resolved gains and the linear part J(0) of the closed loop are computed
-    once per config and are read-only too.
+    once per config and are read-only too.  Equality and hashing are by identity.
     """
 
     adjacency: np.ndarray
@@ -188,9 +189,10 @@ def _rates(c, gamma) -> tuple[float, float]:
 
 def voltage_jacobian_bound(L, c: float, gamma: float) -> np.ndarray:
     """State-independent bound c I - gamma (L + L^T)/2 on the symmetric part
-    of the voltage-voltage Jacobian block (the cubic only helps)."""
+    of the voltage-voltage Jacobian block (the cubic only helps).  L must be
+    a non-empty square matrix of finite entries."""
     c, gamma = _rates(c, gamma)
-    L = np.asarray(L, dtype=float)
+    L = _finite_entries(_as_square(L))
     n = L.shape[0]
     return c * np.eye(n) - gamma * (L + L.T) / 2.0
 
@@ -199,13 +201,14 @@ def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
     """Minimum-effort voltage gains for contraction rate eta.
 
     ell* = (c + eta) 1 - (gamma / 2) L^T 1.  Requires eta >= gamma *
-    max_i L_ii - c so every gain stays purely dissipative in the bound.
+    max_i L_ii - c so every gain stays purely dissipative in the bound.  A
+    non-square L, or one with a NaN or infinite entry, raises ValueError.
     """
     c, gamma = _rates(c, gamma)
     eta = _finite("eta", eta)
-    L = np.asarray(L, dtype=float)
+    L = _finite_entries(_as_square(L))
     n = L.shape[0]
-    floor = gamma * float(np.max(np.diag(L), initial=-np.inf)) - c
+    floor = gamma * float(np.max(np.diag(L))) - c
     if eta < floor:
         raise ValueError(
             f"eta = {eta:g} violates eta >= gamma * max degree - c = {floor:g}")

@@ -23,6 +23,7 @@ from netcontract.metzler import (
     MetzlerMatrix,
     _as_square,
     _finite,
+    _finite_entries,
     _integer,
     _measure,
     _vector,
@@ -135,9 +136,7 @@ def operator_norm(M, out_kind="two", in_kind=None) -> float:
     no tractable exact formula and raise ValueError, as does a NaN or
     infinite entry.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
+    M = _finite_entries(np.atleast_2d(np.asarray(M, dtype=float)))
     out_kind = norm_kind(out_kind)
     in_kind = out_kind if in_kind is None else norm_kind(in_kind)
     if in_kind == "one":
@@ -170,8 +169,7 @@ def block_bound_matrix(A, partition: BlockPartition) -> np.ndarray:
     n = partition.total
     if M.ndim < 2 or M.shape[-2:] != (n, n):
         raise ValueError(f"partition covers {n} indices, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
+    _finite_entries(M)
     kind, *others = {bn.kind for bn in partition.block_norms}
     if others:
         raise ValueError("no tractable exact formula for couplings of different norm kinds")
@@ -261,7 +259,8 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     samples = _integer("samples", samples, positive=True)
     dim = lo.shape[0]
     rng = np.random.default_rng(seed)
-    points = [rng.uniform(lo, hi, size=(samples, dim)), (lo + hi) / 2.0]
+    # Exact halving, and no overflow of lo + hi near the float range.
+    points = [rng.uniform(lo, hi, size=(samples, dim)), lo / 2.0 + hi / 2.0]
     if 2 ** dim <= MAX_CORNERS:
         points.append(np.array(list(itertools.product(*zip(lo, hi)))))
     points = np.vstack([np.atleast_2d(p) for p in points])

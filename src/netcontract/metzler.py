@@ -34,6 +34,11 @@ class NonIrreducibleError(ValueError):
     """Operation defined for irreducible Metzler matrices got something else."""
 
 
+class NotBalancableError(NonIrreducibleError):
+    """A call that also takes completely reducible matrices got other reducible
+    input, which no positive diagonal similarity balances."""
+
+
 class NoConvergenceError(RuntimeError):
     """Iteration cap was hit first; ``residual`` holds the last bracket width."""
 
@@ -46,6 +51,13 @@ def _as_square(A) -> np.ndarray:
     M = A.entries if isinstance(A, MetzlerMatrix) else np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
+    return M
+
+
+def _finite_entries(M: np.ndarray) -> np.ndarray:
+    """M, once no entry is NaN or infinite; otherwise ValueError."""
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     return M
 
 
@@ -205,9 +217,8 @@ def _off_diagonal(M: np.ndarray) -> scipy.sparse.csr_array:
     np.fill_diagonal(mask, False)
     # Row-major flat indices: a sixth of the time of np.nonzero on the 2-D mask.
     rows, cols = np.divmod(np.flatnonzero(mask), n)
-    data = M[rows, cols]
-    if not (np.isfinite(data).all() and np.isfinite(M.diagonal()).all()):
-        raise ValueError("matrix has non-finite entries")
+    data = _finite_entries(M[rows, cols])
+    _finite_entries(M.diagonal())
     indptr = np.zeros(n + 1, dtype=rows.dtype)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return scipy.sparse.csr_array((data, cols, indptr), shape=(n, n))
@@ -229,21 +240,32 @@ def _by_component(off: scipy.sparse.csr_array, cls: Classification) -> tuple:
     return within, order, np.flatnonzero(np.diff(labels[order], prepend=-1))
 
 
-def _metzler_classified(A) -> tuple[np.ndarray, Classification, scipy.sparse.csr_array]:
+def _metzler_classified(A, caller: str = "", *kinds: str) -> tuple:
     """Validated entries, classification and off-diagonal CSR of a public
-    call's matrix argument."""
+    call's Metzler argument.  A kind outside ``kinds`` (if given) raises a
+    NonIrreducibleError naming ``caller``, the accepted kinds and the kind
+    found; a NotBalancableError where completely reducible input is taken."""
     if isinstance(A, MetzlerMatrix):
-        return A.entries, A.classification, A._off
-    M = _as_square(A)
-    off = _off_diagonal(M)
-    cls = _classify(off)
-    if cls.kind == NOT_METZLER:
-        raise ValueError("not a Metzler matrix: negative off-diagonal entry")
+        M, cls, off = A.entries, A.classification, A._off
+    else:
+        M = _as_square(A)
+        off = _off_diagonal(M)
+        cls = _classify(off)
+        if cls.kind == NOT_METZLER:
+            raise ValueError("not a Metzler matrix: negative off-diagonal entry")
+    if kinds and cls.kind not in kinds:
+        accepted = " or ".join(kind.replace("_", " ") for kind in kinds)
+        hint = ("; spectral_abscissa, balance and stabilize_blocks take it"
+                if cls.kind == COMPLETELY_REDUCIBLE else "")
+        error = NotBalancableError if COMPLETELY_REDUCIBLE in kinds else NonIrreducibleError
+        raise error(f"{caller} requires an {accepted} Metzler matrix, got {cls.kind}{hint}")
     return M, cls, off
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronPair:
+    """Result of ``perron_pair``; equality and hashing are by identity."""
+
     abscissa: float
     eigenvector: np.ndarray
     # Collatz-Wielandt bracket [min_i (Md)_i / d_i, max_i (Md)_i / d_i] of d,
@@ -293,10 +315,7 @@ def perron_pair(A, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -
     matrix [a] gives the rounded (a + r) - r: exact for small integers and
     halves, otherwise within a few ulps of r of a.
     """
-    M, cls, off = _metzler_classified(A)
-    if cls.kind != IRREDUCIBLE:
-        raise NonIrreducibleError(
-            f"perron_pair requires an irreducible Metzler matrix, got {cls.kind}")
+    M, cls, off = _metzler_classified(A, "perron_pair", IRREDUCIBLE)
     return _perron(off, np.diag(M), tol, max_iter)
 
 
@@ -348,9 +367,7 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     positive diagonal scaling t computes the measure of T A T^{-1} with
     T = diag(t).
     """
-    M = _as_square(A)
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
+    M = _finite_entries(_as_square(A))
     if scaling is not None:
         t = _vector("scaling", scaling, M.shape[0], positive=True)
         M = M * (t[:, None] / t[None, :])

@@ -31,7 +31,6 @@ from netcontract.metzler import (
     DEFAULT_TOL,
     IRREDUCIBLE,
     Classification,
-    NonIrreducibleError,
     _finite,
     _metzler_classified,
     _perron,
@@ -113,11 +112,7 @@ def minimal_effort_stabilize(A, w, target: float, tol: float = DEFAULT_TOL,
     Raises NonIrreducibleError for non-irreducible input; completely reducible
     matrices decompose into independent per-block problems (stabilize_blocks).
     """
-    M, cls, off = _metzler_classified(A)
-    if cls.kind != IRREDUCIBLE:
-        raise NonIrreducibleError(
-            f"minimal_effort_stabilize requires an irreducible matrix (got "
-            f"{cls.kind}); use stabilize_blocks for completely reducible input")
+    M, cls, off = _metzler_classified(A, "minimal_effort_stabilize", IRREDUCIBLE)
     return _stabilize(M, cls, off, w, target, tol, max_sweeps, d0)
 
 
@@ -127,13 +122,10 @@ def stabilize_blocks(A, w, target: float, tol: float = DEFAULT_TOL,
 
     Accepts irreducible or completely reducible input; every block is driven
     to the same target, so the concatenated d remains a Perron eigenvector of
-    the block-diagonal closed loop.
+    the block-diagonal closed loop.  Other reducible input raises
+    NotBalancableError, as in ``balance``.
     """
-    M, cls, off = _metzler_classified(A)
-    if cls.kind not in (IRREDUCIBLE, COMPLETELY_REDUCIBLE):
-        raise NonIrreducibleError(
-            f"stabilize_blocks requires an irreducible or completely reducible "
-            f"matrix, got {cls.kind}")
+    M, cls, off = _metzler_classified(A, "stabilize_blocks", IRREDUCIBLE, COMPLETELY_REDUCIBLE)
     return _stabilize(M, cls, off, w, target, tol, max_sweeps, None)
 
 
@@ -145,11 +137,7 @@ def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabi
     exists.  Only a d with A d <= 0 in every entry is certified; the reported
     abscissa is the Collatz-Wielandt bound max_i (A d)_i / d_i >= alpha(A).
     """
-    M, cls, off = _metzler_classified(A)
-    if cls.kind != IRREDUCIBLE:
-        raise NonIrreducibleError(
-            f"marginal_stability_certificate requires an irreducible matrix, "
-            f"got {cls.kind}")
+    M, cls, off = _metzler_classified(A, "marginal_stability_certificate", IRREDUCIBLE)
     diag = np.diag(M)
     d = _perron(off, diag, tol, DEFAULT_MAX_ITER).eigenvector
     slack = off @ d + diag * d
@@ -168,10 +156,7 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     are reported; `optimal` requires feasibility plus both conditions.
     Feasibility is judged on the Collatz-Wielandt upper bound from d.
     """
-    M, cls, off = _metzler_classified(A)
-    if cls.kind != IRREDUCIBLE:
-        raise NonIrreducibleError(
-            f"verify_optimality requires an irreducible matrix, got {cls.kind}")
+    M, cls, off = _metzler_classified(A, "verify_optimality", IRREDUCIBLE)
     n = M.shape[0]
     w = _vector("w", w, n, positive=True)
     ell = _vector("ell", ell, n)

@@ -76,6 +76,15 @@ class TestLaplacian:
     def test_empty_graph(self):
         assert np.array_equal(laplacian(np.zeros((3, 3))), np.zeros((3, 3)))
 
+    def test_empty_network_rejected(self):
+        # A 0 x 0 adjacency built a config that simulated states of shape
+        # (11, 0) and failed only in certify.
+        message = r"^adjacency must be a non-empty square matrix, got shape \(0, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            laplacian(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=message):
+            FhnConfig(adjacency=np.zeros((0, 0)))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
             laplacian(np.zeros((2, 3)))
@@ -672,6 +681,14 @@ class TestConfigImmutable:
         with pytest.raises(ValueError, match="^gains have length 3, expected 6$"):
             dataclasses.replace(cfg, gains=[1.0] * 3)
 
+    def test_hash_and_equality_by_identity(self):
+        # Array fields made hash() raise TypeError and == raise "truth value
+        # of an array is ambiguous".
+        cfg = six_config()
+        assert {cfg: 1}[cfg] == 1 and hash(cfg) == hash(cfg)
+        assert cfg == cfg
+        assert cfg != dataclasses.replace(cfg)
+
     def test_replaced_gains_reach_the_jacobian(self):
         cfg = six_config()
         explicit = dataclasses.replace(cfg, gains=np.full(6, 7.0))
@@ -706,6 +723,21 @@ class TestNonFiniteNumbers:
         # Unchecked, c = nan and gamma = inf gave an all-NaN bound.
         with pytest.raises(ValueError, match=f"^{name} must be"):
             voltage_jacobian_bound(np.zeros((2, 2)), c, gamma)
+
+    @pytest.mark.parametrize("L, message", [
+        ([[np.nan, 0.0], [0.0, 0.0]], "^matrix has non-finite entries$"),
+        ([[1.0, -1.0], [np.inf, 0.0]], "^matrix has non-finite entries$"),
+        ([[-np.inf, 0.0], [0.0, 1.0]], "^matrix has non-finite entries$"),
+        (np.ones((2, 3)), r"^expected a non-empty square matrix, got shape \(2, 3\)$")],
+        ids=["nan", "inf", "-inf", "2x3"])
+    @pytest.mark.parametrize("entry", [lambda L: voltage_jacobian_bound(L, 6.0, 0.05),
+                                       lambda L: fhn_gains(L, 6.0, 0.05, 0.05)],
+                             ids=["voltage_jacobian_bound", "fhn_gains"])
+    def test_laplacian_argument_follows_fhn_gains(self, entry, L, message):
+        # Unchecked, a NaN L gave gains [nan, 6.05], an infinite one a bound
+        # with -inf entries, and a 2 x 3 one numpy's broadcast error.
+        with pytest.raises(ValueError, match=message):
+            entry(L)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_config_gains(self, bad):

@@ -430,6 +430,17 @@ class TestJacobianSupEstimate:
                                       samples=3)
         assert calls == []
 
+    def test_centre_near_float_max_stays_finite(self):
+        # (lo + hi) / 2 overflowed to inf here, and the inf centre reached the
+        # sampler, whose Jacobian then failed the non-finite entry check.
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jacobian_sup_estimate(lambda t, x: calls.append(x) or np.eye(1),
+                                  BlockPartition.uniform([1]), ([1e308], [1.5e308]),
+                                  samples=3)
+        assert calls[3][0] == 1.25e308  # the centre: finite, inside the box
+
     @pytest.mark.parametrize("t_grid", [(), [], np.array([])])
     def test_t_grid_must_not_be_empty(self, t_grid):
         # Was a j_hat of -inf from 0 samples, flagged "sampled", which

@@ -17,14 +17,20 @@ from netcontract.metzler import (
     STRUCTURAL_ZERO,
     MetzlerMatrix,
     NonIrreducibleError,
+    NotBalancableError,
     classify,
     matrix_measure,
     norm_kind,
     perron_pair,
     spectral_abscissa,
 )
-from netcontract.balancing import balance
-from netcontract.stabilization import marginal_stability_certificate, minimal_effort_stabilize
+from netcontract.balancing import balance, imbalance, potential
+from netcontract.stabilization import (
+    marginal_stability_certificate,
+    minimal_effort_stabilize,
+    stabilize_blocks,
+    verify_optimality,
+)
 
 from generators import metzler_matrices, random_irreducible_metzler, random_metzler
 
@@ -190,9 +196,10 @@ class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(1, 1), (2, 0), (0, 1)])
     @pytest.mark.parametrize("entry", [classify, MetzlerMatrix, spectral_abscissa,
-                                       lambda A: minimal_effort_stabilize(A, np.ones(3), -1.0)],
+                                       lambda A: minimal_effort_stabilize(A, np.ones(3), -1.0),
+                                       imbalance, lambda A: potential(A, np.ones(3))],
                              ids=["classify", "MetzlerMatrix", "spectral_abscissa",
-                                  "minimal_effort_stabilize"])
+                                  "minimal_effort_stabilize", "imbalance", "potential"])
     def test_rejected(self, entry, where, bad):
         for base in (self.IRREDUCIBLE_3, self.OTHER_3):
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
@@ -205,6 +212,45 @@ class TestNonFinite:
         for where in ((0, 0), (0, 1)):
             with pytest.raises(ValueError, match="matrix has non-finite entries"):
                 matrix_measure(self.spoiled([[0.0, 1.0], [1.0, -1.0]], bad, where), norm)
+
+
+class TestKindCheck:
+    """Each call that takes only some kinds of Metzler matrix rejects the
+    others in one way: the error names the call and the kind it got, and is
+    a NotBalancableError where completely reducible input is taken."""
+
+    KINDS = {COMPLETELY_REDUCIBLE: np.diag([-1.0, -2.0, -3.0]),
+             REDUCIBLE_OTHER: np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]])}
+    ONES = np.ones(3)
+
+    @pytest.mark.parametrize("name, call, error", [
+        ("perron_pair", perron_pair, NonIrreducibleError),
+        ("balance", balance, NotBalancableError),
+        ("minimal_effort_stabilize",
+         lambda A: minimal_effort_stabilize(A, TestKindCheck.ONES, -1.0), NonIrreducibleError),
+        ("stabilize_blocks",
+         lambda A: stabilize_blocks(A, TestKindCheck.ONES, -1.0), NotBalancableError),
+        ("marginal_stability_certificate", marginal_stability_certificate, NonIrreducibleError),
+        ("verify_optimality",
+         lambda A: verify_optimality(A, TestKindCheck.ONES, -1.0, TestKindCheck.ONES),
+         NonIrreducibleError)])
+    @pytest.mark.parametrize("kind", [COMPLETELY_REDUCIBLE, REDUCIBLE_OTHER])
+    def test_rejected_kinds(self, kind, name, call, error):
+        A = self.KINDS[kind]
+        assert classify(A).kind == kind
+        if error is NotBalancableError and kind == COMPLETELY_REDUCIBLE:
+            call(A)  # taken
+            return
+        with pytest.raises(NonIrreducibleError) as info:
+            call(A)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{name} requires an ")
+        assert kind in str(info.value)
+
+    def test_not_balancable_is_non_irreducible(self):
+        assert issubclass(NotBalancableError, NonIrreducibleError)
+        assert netcontract.NotBalancableError is netcontract.balancing.NotBalancableError
+        assert netcontract.NotBalancableError is NotBalancableError
 
 
 class TestMetzlerMatrix:
@@ -309,6 +355,12 @@ class TestPerronPair:
             perron_pair(np.eye(2))
         with pytest.raises(NonIrreducibleError):
             perron_pair([[0, 1], [0, 0]])
+
+    def test_hash_and_equality_by_identity(self):
+        # The eigenvector field made hash() raise TypeError.
+        pair = perron_pair([[-1.0, 1.0], [1.0, -1.0]])
+        assert {pair: 1}[pair] == 1 and pair == pair
+        assert pair != perron_pair([[-1.0, 1.0], [1.0, -1.0]])
 
     def test_one_by_one(self):
         pair = perron_pair([[-2.5]])
