@@ -133,10 +133,13 @@ def operator_norm(M, out_kind="two", in_kind=None) -> float:
     Exact formulas: domain norm 1 -> max over columns of the codomain norm;
     codomain norm inf -> max over rows of the domain's dual norm; (2, 2) ->
     largest singular value.  The remaining pairs (inf->1, inf->2, 2->1) have
-    no tractable exact formula and raise ValueError, as does a NaN or
-    infinite entry.
+    no tractable exact formula and raise ValueError, as do a NaN or infinite
+    entry and input that is not a non-empty 2-D matrix.
     """
-    M = _finite_entries(np.atleast_2d(np.asarray(M, dtype=float)))
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise ValueError(f"expected a non-empty 2-D matrix, got shape {M.shape}")
+    _finite_entries(M)
     out_kind = norm_kind(out_kind)
     in_kind = out_kind if in_kind is None else norm_kind(in_kind)
     if in_kind == "one":
@@ -211,12 +214,15 @@ def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
     """Composite norm max_i |x^i|_i / w_i, batched over leading axes.
 
     With w a Perron eigenvector of the block bound matrix this is the norm in
-    which the hierarchical contraction estimate holds.
+    which the hierarchical contraction estimate holds.  A NaN or infinite
+    state entry raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != partition.total:
         raise ValueError(
             f"state has dimension {x.shape[-1]}, partition covers {partition.total}")
+    if not np.isfinite(x).all():
+        raise ValueError("state has non-finite entries")
     m = len(partition.sizes)
     w = np.ones(m) if weights is None else _vector("weights", weights, m, positive=True)
     vals = []
@@ -278,9 +284,11 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
 
 
 def _unwrap(j_hat) -> np.ndarray:
+    """The bound's entries, once square and finite, so that no NaN or
+    infinity reaches the hypothesis test."""
     if isinstance(j_hat, JacobianBound):
-        return _as_square(j_hat.j_hat)
-    return _as_square(j_hat)
+        j_hat = j_hat.j_hat
+    return _finite_entries(_as_square(j_hat))
 
 
 def _check_hypothesis(J: np.ndarray, eta) -> float:

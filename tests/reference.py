@@ -6,7 +6,7 @@ import numpy as np
 
 from netcontract.fhn import fhn_gains, laplacian
 from netcontract.integrate import DivergedError
-from netcontract.metzler import _measure
+from netcontract.metzler import NoConvergenceError, _measure
 
 
 def reference_rk4(f, x0, t0, t_end, step):
@@ -67,3 +67,21 @@ def reference_closed_loop_jacobian(config, x):
     J[n + i, i] = -1.0 / c
     J[n + i, n + i] = -config.b / c
     return J
+
+
+def reference_perron(A, tol=1e-10, max_iter=100_000):
+    """The Collatz-Wielandt power iteration with one uniform shift, written
+    plainly for an irreducible Metzler matrix: iterate A + (1 + max|a_ii|) I
+    from the ones vector until the bracket of ratios (A v)_i / v_i is at most
+    tol wide.  Returns (upper end of the bracket, power steps taken)."""
+    A = np.asarray(A, dtype=float)
+    shift = 1.0 + np.max(np.abs(np.diag(A)))
+    S = A + shift * np.eye(A.shape[0])
+    v = np.ones(A.shape[0])
+    for step in range(max_iter):
+        Sv = S @ v
+        ratio = Sv / v
+        if ratio.max() - ratio.min() <= tol:
+            return ratio.max() - shift, step
+        v = Sv / Sv.max()
+    raise NoConvergenceError("reference Perron iteration did not converge", np.inf)

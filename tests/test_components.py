@@ -4,6 +4,7 @@ accuracy it would meet alone."""
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from numpy.testing import assert_allclose
 
 import netcontract.balancing
@@ -17,9 +18,10 @@ from netcontract.metzler import (
     perron_pair,
     spectral_abscissa,
 )
-from netcontract.stabilization import stabilize_blocks
+from netcontract.stabilization import minimal_effort_stabilize, stabilize_blocks
 
-from generators import random_irreducible_metzler
+from generators import grid_metzler, random_irreducible_metzler, weighted_ring_metzler
+from reference import reference_perron
 
 TOL = 1e-10
 TARGET = -1.0
@@ -122,15 +124,16 @@ def many_blocks(count, rng):
 
 
 def counting(monkeypatch, module, name):
-    calls = []
+    """The list of results of module.name, one per call from now on."""
+    results = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        results.append(original(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(module, name, counted)
-    return calls
+    return results
 
 
 class TestOneIterationPerCall:
@@ -170,11 +173,108 @@ class TestOneByOne:
                    reason="the absolute bracket-width test has a scale floor")
 def test_perron_residual_scale_floor():
     # Rounding puts about eps * |lambda_2| back into the second eigenvector
-    # each step, and it decays only by |lambda_2 / lambda_1| = 0.9984, so
-    # the Collatz-Wielandt bracket of the iterate stays 5.2e-10 wide > tol
-    # (the same after 40,000 and 100,000 steps) around the alpha of eigvals.
-    # A relative test, tol * (1 + |alpha|), would stop.
+    # each step, and the lifted iteration shrinks that component only by a
+    # factor 0.99908 a step (the uniform shift by 0.99882), so the
+    # Collatz-Wielandt bracket of the iterate stays 3.2e-10 wide > tol (the
+    # same after 40,000 and 100,000 steps) around the alpha of eigvals.  A
+    # relative test, tol * (1 + |alpha|), would stop.
     A = 1.5 * np.array([[-2.4806, 1428.1092], [1476.8655, -2.8654]])
     alpha = np.max(np.linalg.eigvals(A).real)
     pair = perron_pair(A, max_iter=40000)
     assert abs(pair.abscissa - alpha) <= 1e-11
+
+
+def closed_loop(A, w):
+    return A - np.diag(minimal_effort_stabilize(A, w, TARGET).ell_star)
+
+
+def directed_cycle(rng, n, diag):
+    i = np.arange(n)
+    A = np.zeros((n, n))
+    A[(i + 1) % n, i] = rng.uniform(0.5, 1.5, n)
+    A[i, i] = diag
+    return A
+
+
+def ring_with_diagonal(seed, diag):
+    A = weighted_ring_metzler(np.random.default_rng(seed), 100)
+    A[np.arange(100), np.arange(100)] = diag
+    return A
+
+
+def joint_steps(monkeypatch, A):
+    """Power steps of the one Perron iteration that spectral_abscissa runs."""
+    pairs = counting(monkeypatch, netcontract.metzler, "_perron")
+    spectral_abscissa(A)
+    return pairs[0].iterations
+
+
+def reference_steps(A):
+    """The most steps the uniform-shift iteration takes on a strong component."""
+    labels = scipy.sparse.csgraph.connected_components(
+        (A - np.diag(np.diag(A))) > 0, directed=True, connection="strong")[1]
+    return max(reference_perron(A[np.ix_(labels == k, labels == k)])[1]
+               for k in np.unique(labels))
+
+
+class TestPerronSteps:
+    """The lift per row against the uniform shift of reference_perron."""
+
+    def test_mixed_closed_loop(self):
+        # The closed loop of the benchmark's well-mixed n = 2000 network: its
+        # diagonal runs from -26.2 to -4.8, and the uniform shift takes 148 steps.
+        rng = np.random.default_rng([1, 0])
+        A = random_irreducible_metzler(rng, 2000, density=0.01)
+        C = closed_loop(A, rng.uniform(0.5, 2.0, 2000))
+        pair = perron_pair(C)
+        ref, ref_steps = reference_perron(C)
+        assert pair.iterations <= 70 < ref_steps
+        assert abs(pair.abscissa - ref) <= 1e-9
+
+    @pytest.mark.parametrize("A", [
+        closed_loop(grid_metzler(np.random.default_rng(1), 15),
+                    np.random.default_rng(1).uniform(0.5, 2.0, 225)),
+        ring_with_diagonal(1, np.random.default_rng(1).uniform(-3.0, 0.0, 100)),
+    ], ids=["grid_closed_loop", "ring_spread_diagonal"])
+    def test_spread_diagonal(self, A):
+        assert perron_pair(A).iterations <= 0.6 * reference_perron(A)[1]
+
+    @pytest.mark.parametrize("A", [
+        directed_cycle(np.random.default_rng(10), 10, -1.0),
+        directed_cycle(np.random.default_rng(30), 30, 0.5),
+        ring_with_diagonal(0, -1.0),
+        ring_with_diagonal(1, 0.25),
+    ], ids=["cycle10", "cycle30", "ring0", "ring1"])
+    def test_constant_diagonal_iterates_as_uniform_shift(self, A):
+        # Every row is lifted to the level of the uniform shift, so only
+        # rounding tells the two iterations apart.
+        assert abs(perron_pair(A).iterations - reference_perron(A)[1]) <= 1
+
+    @pytest.mark.parametrize("name,A", [
+        pytest.param(name, A, marks=pytest.mark.xfail(
+            strict=True, reason="a large off-diagonal block with a small diagonal is "
+            "damped less by the lowest diagonal level than by the uniform shift"))
+        if name in ("scales0", "scales2") else (name, A)
+        for name, A in CORPUS], ids=[name for name, _ in CORPUS])
+    def test_corpus_no_slower_than_uniform_shift(self, monkeypatch, name, A):
+        # scales0 takes 362 steps against 294, scales2 50 against 31: in both,
+        # a block with off-diagonal entries in the tens to hundreds and a
+        # diagonal within [-3, 1] converges faster with the higher lift.
+        assert joint_steps(monkeypatch, A) <= 1.1 * reference_steps(A)
+
+    def test_one_by_one_is_exact(self):
+        pair = perron_pair([[0.1]])
+        assert pair.abscissa == 0.1 and pair.bracket == (0.1, 0.1)
+        assert pair.iterations == 0
+
+
+@pytest.mark.xfail(raises=NoConvergenceError, strict=True,
+                   reason="the lift has an absolute 1, which a small matrix barely moves")
+def test_perron_lift_scale_floor():
+    # delta = 1 + max|c| + min c is at least 1 whatever the matrix's scale.
+    # At 1e-3 times a 15 x 15 grid the iteration matrix is within about 1e-3
+    # of the identity, so the bracket, which the unscaled grid closes in
+    # about 2,200 steps, is still 2.3e-5 wide after 20,000.
+    A = 1e-3 * grid_metzler(np.random.default_rng(1), 15)
+    alpha = np.max(np.linalg.eigvals(A).real)
+    assert abs(spectral_abscissa(A, max_iter=20000) - alpha) <= 1e-10

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -278,6 +279,26 @@ class TestNonFiniteMatrix:
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             operator_norm([[1.0, bad], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 2, 2), (3,), ()])
+    @pytest.mark.parametrize("kind", ["one", "two", "inf"])
+    def test_operator_norm_shape(self, shape, kind):
+        # Was 0.0 for 0 x 0, 2.0 for a (2, 2, 2) stack with "one", and
+        # numpy's own error with "two".
+        message = f"non-empty 2-D matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            operator_norm(np.ones(shape), kind)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_synthesize_gains_checks_finiteness_first(self, bad, where):
+        # -inf on the diagonal raised HypothesisViolatedError ("negative
+        # entry (-inf)"), and NaN passed the hypothesis test.
+        J = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        J[where] = bad
+        for j_hat in (J, JacobianBound(J)):
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                synthesize_gains(j_hat, np.ones(2), 0.5)
+
 
 class TestCompositeNorm:
     def test_blockwise_values(self):
@@ -294,6 +315,14 @@ class TestCompositeNorm:
         part = BlockPartition.uniform([2, 1])
         x = np.ones((3, 7, 3))
         assert composite_norm(x, part).shape == (3, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_must_be_finite(self, bad):
+        # NaN came out as the norm.
+        part = BlockPartition.uniform([2])
+        for x in ([bad, 1.0], [[0.0, 1.0], [1.0, bad]]):
+            with pytest.raises(ValueError, match="^state has non-finite entries$"):
+                composite_norm(x, part)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
     def test_weights_must_be_finite_and_positive(self, bad):
