@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from netcontract.integrate import DivergedError, _grid, rk4
+from netcontract.integrate import _BLOCK, DivergedError, _check_finite, _finite_start, _grid
 from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_array, _integer,
                                   _vector, matrix_measure)
 
@@ -341,55 +341,93 @@ class Trajectory:
         return self.states[..., self.n_neurons:]
 
 
-def _closed_loop_field(config: FhnConfig, inputs=None):
-    """The closed-loop field f(t, x).  r(t) is looked up in ``inputs``, a
-    dict from time to input value, and evaluated for any t it lacks."""
-    n = config.n_neurons
-    c, r = config.c, config.input
-    inputs = {} if inputs is None else inputs
-    kt = closed_loop_jacobian(config, np.zeros(2 * n)).T
-    drive = np.repeat([c, 0.0], n)
-    offset = np.repeat([0.0, config.a / c], n)
-    # The cubic over the contiguous full state (a strided view of v is
-    # slower); the zero weight on w gives NaN only where w^3 overflows.
-    cubic = np.repeat([-c / 3.0, 0.0], n)
-
-    def f(t, x):
-        rt = inputs.get(t)
-        if rt is None:
-            rt = r(t)
-        dx = x @ kt
-        dx += rt * drive + offset
-        cube = x * x
-        cube *= x
-        cube *= cubic
-        dx += cube
-        return dx
-
-    return f
+def _closed_loop_operator(config: FhnConfig) -> np.ndarray:
+    """K = [J(0) | c (1_v, 0_w) | (a/c) (0_v, 1_w)], of shape (2N, 2N + 2), so
+    that the closed loop is x' = K (x, r(t), 1) - (c/3) (v^3, 0)."""
+    n, c = config.n_neurons, config.c
+    K = np.zeros((2 * n, 2 * n + 2))
+    K[:, :2 * n] = closed_loop_jacobian(config, np.zeros(2 * n))
+    K[:n, 2 * n] = c
+    K[n:, 2 * n + 1] = config.a / c
+    return K
 
 
 def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
              step: float | None = None) -> Trajectory:
-    """Integrate the closed-loop network; x0 defaults to a seeded draw.
+    """Integrate the closed-loop network by classical RK4; x0 defaults to a
+    seeded draw.
 
     x0 may carry leading batch axes (last axis 2N); batches integrate in
-    lockstep on the shared grid.  The input is evaluated once, vectorised,
-    at every time the integrator will ask for.
+    lockstep on the shared grid, held as one (2N, batch) array.  Each RK4
+    stage is one product of the operator K of ``_closed_loop_operator`` with
+    the stage input (y, r, 1), plus the cubic on the voltage rows; the new
+    state is one product of the weights (h/6, h/3, h/3, h/6) with the four
+    stacked stages.  The input is evaluated once, vectorised, at the stage
+    times of every step.  A non-finite x0 raises ValueError, and overflow
+    raises DivergedError with the time of the first non-finite state.
+    (``integrate.rk4`` integrates any other right-hand side.)
     """
     if x0 is None:
         x0 = initial_state(config)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape[-1] != 2 * config.n_neurons:
-        raise ValueError(
-            f"x0 has state dimension {x0.shape[-1]}, expected {2 * config.n_neurons}")
+    n = config.n_neurons
+    if x0.shape[-1] != 2 * n:
+        raise ValueError(f"x0 has state dimension {x0.shape[-1]}, expected {2 * n}")
     t_end = config.t_end if t_end is None else t_end
     step = config.step if step is None else step
-    stage_times = np.concatenate(_grid(0.0, t_end, step))
-    r = np.asarray(config.input(stage_times), dtype=float)
-    field = _closed_loop_field(config, dict(zip(stage_times.tolist(), r.tolist())))
-    times, states = rk4(field, x0, 0.0, t_end, step)
-    return Trajectory(times=times, states=states, input_trace=r[:times.size])
+    times, mid, end = _grid(0.0, t_end, step)
+    _finite_start(x0)
+    r = np.asarray(config.input(np.concatenate([times, mid, end])), dtype=float)
+    r_times, r_mid, r_end = np.split(r, [times.size, times.size + mid.size])
+    # r at each step's four stage times, shaped to broadcast over the batch
+    stage_r = np.stack([r_times[:-1], r_mid, r_mid, r_end], axis=1)[:, :, None]
+    h = float(step)
+    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
+    # 0-d arrays: numpy multiplies by them faster than by Python floats
+    c3 = np.array(-config.c / 3.0)
+    a = [np.array(h / 2.0), np.array(h / 2.0), np.array(h)]
+
+    out = np.empty(times.shape + x0.shape)
+    out[0] = x0
+    batch = math.prod(x0.shape[:-1])
+    flat = out.reshape(times.size, batch, 2 * n)
+    z = np.empty((4, 2 * n + 2, batch))  # stage inputs (y_i, r_i, 1)
+    z[:, -1] = 1.0
+    z[0, :2 * n] = flat[0].T
+    z_r, x = z[:, 2 * n], z[0, :2 * n]
+    K = _closed_loop_operator(config)
+    ks = np.empty((4, 2 * n, batch))  # the stage slopes k_i
+    acc = np.empty((2 * n, batch))  # their weighted sum
+    ks_flat, acc_flat = ks.reshape(4, -1), acc.reshape(-1)
+    cube = np.empty((n, batch))
+    # Per stage: z_i, its v rows, k_i and its v rows; every stage but the
+    # last also writes the next stage's input x + a_i k_i.
+    stages = [(z[i], z[i, :n], ks[i], ks[i, :n], z[i + 1, :2 * n], a[i]) for i in range(3)]
+    zl, vl, kl, kvl = z[3], z[3, :n], ks[3], ks[3, :n]
+    dot, multiply = np.dot, np.multiply
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, times.size, _BLOCK):
+            stop = min(first + _BLOCK, times.size)
+            for s in range(first, stop):
+                z_r[...] = stage_r[s - 1]
+                for zi, vi, ki, kvi, y_next, ai in stages:
+                    dot(K, zi, out=ki)
+                    multiply(vi, c3, out=cube)
+                    cube *= vi
+                    cube *= vi
+                    kvi += cube
+                    multiply(ki, ai, out=y_next)
+                    y_next += x
+                dot(K, zl, out=kl)
+                multiply(vl, c3, out=cube)
+                cube *= vl
+                cube *= vl
+                kvl += cube
+                dot(weights, ks_flat, out=acc_flat)
+                x += acc
+                flat[s] = x.T
+            _check_finite(times, out, first, stop)
+    return Trajectory(times=times, states=out, input_trace=r[:times.size])
 
 
 @dataclass
@@ -411,7 +449,10 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     e^{-eta t} gap(0) and log-linear fitted for an empirical decay rate;
     steady-state periodicity and cross-neuron spread are measured over the
     final period.  The horizon must leave room for the transient
-    (``transient_periods`` + 3 periods).
+    (``transient_periods`` + 3 periods).  ``period`` must be finite and
+    positive, ``transient_periods`` a nonnegative integer, and ``fit_start``
+    finite with at least two samples in [fit_start, t_end]; anything else
+    raises ValueError.
     """
     trajs = list(trajectories)
     if len(trajs) < 2:
@@ -424,7 +465,11 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
         period = getattr(config.input, "period", None)
         if period is None:
             raise ValueError("period not deducible from the input; pass it explicitly")
-    period = float(period)
+    period = _finite("period", period, positive=True)
+    fit_start = _finite("fit_start", fit_start)
+    transient_periods = _integer("transient_periods", transient_periods)
+    if transient_periods < 0:
+        raise ValueError(f"transient_periods must be nonnegative, got {transient_periods}")
     t_end = float(times[-1])
     if t_end < (transient_periods + 3) * period:
         raise ValueError(
@@ -436,6 +481,9 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     gap_slack = 0.0
     decay_rate = math.inf
     fit_mask = times >= fit_start
+    if int(fit_mask.sum()) < 2:
+        raise ValueError(f"fit_start = {fit_start:g} leaves fewer than two samples "
+                         f"in [fit_start, {t_end:g}]")
     n_pairs = 0
     for ti, tj in combinations(trajs, 2):
         gap = scaled_state_norm(ti.states - tj.states, c)

@@ -34,25 +34,40 @@ def _grid(t0, t_end, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return times, times[:-1] + step / 2.0, times[:-1] + step
 
 
+def _finite_start(x0) -> None:
+    """Reject a non-finite initial state before the first step."""
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 has non-finite entries")
+
+
+def _check_finite(times, out, first: int, stop: int) -> None:
+    """Raise DivergedError at the first of the states out[first:stop] with a
+    non-finite entry, if any.  A non-finite entry stays non-finite in every
+    later state, so checking once per block of steps finds the first one."""
+    finite = np.isfinite(out[first:stop]).all(axis=tuple(range(1, out.ndim)))
+    if not finite.all():
+        raise DivergedError(times[first + int(np.argmin(finite))])
+
+
 def rk4(f, x0, t0: float, t_end: float, step: float):
     """Integrate x' = f(t, x) with the classical fourth-order scheme.
 
     The state may carry leading batch axes; f must map (t, x) -> dx of the
     same shape, and may return x itself but must not write into it.
-    Returns (times, states) with states[k] the state at times[k].  Overflow
-    to non-finite values raises DivergedError with the time of the first
-    non-finite state; the states are checked once per block of steps, since
-    a non-finite entry stays non-finite in every later state.
+    Returns (times, states) with states[k] the state at times[k].  A
+    non-finite x0 raises ValueError.  Overflow to non-finite values raises
+    DivergedError with the time of the first non-finite state; the states
+    are checked once per block of steps.
     """
     times, mid, end = _grid(t0, t_end, step)
     h = float(step)
     half, sixth = h / 2.0, h / 6.0
     x0 = np.asarray(x0, dtype=float)
+    _finite_start(x0)
     out = np.empty(times.shape + x0.shape)
     out[0] = x0
     # One buffer per stage input, so that f may return its argument.
     y2, y3, y4, acc = (np.empty_like(x0) for _ in range(4))
-    state_axes = tuple(range(1, out.ndim))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, times.size, _BLOCK):
             stop = min(first + _BLOCK, times.size)
@@ -78,7 +93,5 @@ def rk4(f, x0, t0: float, t_end: float, step: float):
                 acc += k4
                 acc *= sixth
                 np.add(x, acc, out=out[k, ...])
-            finite = np.isfinite(out[first:stop]).all(axis=state_axes)
-            if not finite.all():
-                raise DivergedError(times[first + int(np.argmin(finite))])
+            _check_finite(times, out, first, stop)
     return times, out

@@ -8,7 +8,7 @@ from pathlib import Path
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
-    _closed_loop_field,
+    _closed_loop_operator,
     DivergedError,
     FhnConfig,
     SinusoidInput,
@@ -252,19 +252,37 @@ class TestClosedLoopJacobian:
         assert len(calls) == 1
 
 
-class TestClosedLoopField:
+def operator_field(cfg, t, x):
+    """x' = K (x, r(t), 1) - (c/3) (v^3, 0) with K from _closed_loop_operator,
+    batched over the leading axes of x."""
+    n = cfg.n_neurons
+    ones = np.ones(x.shape[:-1] + (1,))
+    z = np.concatenate([x, cfg.input(t) * ones, ones], axis=-1)
+    dx = z @ _closed_loop_operator(cfg).T
+    dx[..., :n] -= (cfg.c / 3.0) * x[..., :n] ** 3
+    return dx
+
+
+class TestClosedLoopOperator:
     @staticmethod
     def _config():
         gains = np.random.default_rng(4).uniform(5.0, 7.0, size=6)
         spikes = SpikeTrainInput([0.0, 0.1, 0.4, 1.5], [0.0, 8.0, -1.0, 0.0])
         return six_config(a=0.3, gamma=0.2, gains=gains, input=spikes)
 
+    def test_columns(self):
+        cfg = self._config()
+        K = _closed_loop_operator(cfg)
+        assert K.shape == (12, 14)
+        assert np.array_equal(K[:, :12], closed_loop_jacobian(cfg, np.zeros(12)))
+        assert np.array_equal(K[:, 12], np.repeat([cfg.c, 0.0], 6))
+        assert np.array_equal(K[:, 13], np.repeat([0.0, cfg.a / cfg.c], 6))
+
     def test_matches_term_by_term_equations(self):
         # the module docstring's equations, written out per term
         cfg = self._config()
         L, ell = laplacian(SIX_RING), cfg.gains
         a, b, c, gamma = cfg.a, cfg.b, cfg.c, cfg.gamma
-        f = _closed_loop_field(cfg)
         rng = np.random.default_rng(5)
         for x in (rng.uniform(-4, 4, size=12), rng.uniform(-4, 4, size=(3, 12))):
             for t in (0.0, 0.05, 0.7, 2.3):
@@ -272,19 +290,19 @@ class TestClosedLoopField:
                 dv = c * (v + w - v ** 3 / 3.0 + cfg.input(t)) - gamma * (v @ L.T) - ell * v
                 dw = -(v - a + b * w) / c
                 ref = np.concatenate([dv, dw], axis=-1)
-                got = f(t, x)
+                got = operator_field(cfg, t, x)
                 assert got.shape == x.shape
                 assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_jacobian_matches_central_differences(self):
         cfg = self._config()
-        f = _closed_loop_field(cfg)
         h = 1e-6
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.uniform(-2, 2, size=12)
             steps = h * np.eye(12)  # row k perturbs coordinate k
-            fd = (f(0.3, x + steps) - f(0.3, x - steps)).T / (2.0 * h)
+            fd = (operator_field(cfg, 0.3, x + steps)
+                  - operator_field(cfg, 0.3, x - steps)).T / (2.0 * h)
             assert_allclose(closed_loop_jacobian(cfg, x), fd, rtol=1e-6, atol=1e-6)
 
 
@@ -322,6 +340,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="state dimension"):
             simulate(six_config(), x0=np.zeros(10))
 
+    def test_non_finite_initial_state(self):
+        with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
+            simulate(load_config(FHN6), x0=np.full(12, np.nan), t_end=1.0)
+
     @pytest.mark.parametrize("name, bad", [("t_end", np.inf), ("t_end", np.nan),
                                            ("step", np.nan), ("step", np.inf)])
     def test_non_finite_horizon_and_step(self, name, bad):
@@ -348,15 +370,6 @@ def reference_simulate(config, x0, t_end=None, step=None):
 
     return reference_rk4(f, x0, 0.0, config.t_end if t_end is None else t_end,
                          config.step if step is None else step)
-
-
-def _field_passed_to_rk4(monkeypatch, config, **kwargs):
-    fields = []
-    real = netcontract.fhn.rk4
-    monkeypatch.setattr(netcontract.fhn, "rk4",
-                        lambda f, *args: fields.append(f) or real(f, *args))
-    simulate(config, **kwargs)
-    return fields[0]
 
 
 class TestSimulateMatchesReference:
@@ -390,19 +403,35 @@ class TestSimulateMatchesReference:
         self._assert_close(traj, *reference_simulate(cfg, x0, t_end=1.0, step=0.3))
         assert np.array_equal(traj.input_trace, cfg.input(traj.times))
 
-    def test_field_off_the_grid(self, monkeypatch):
-        # Between grid times the field evaluates the input itself; the
-        # nearest half step, 0.0125, is 0.074 away in dv on this spike.
-        cfg = six_config(a=0.3, gamma=0.2, input=SPIKES, gains=np.full(6, 6.2))
-        f = _field_passed_to_rk4(monkeypatch, cfg, t_end=0.05)
-        L, ell = laplacian(SIX_RING), cfg.gains
-        x = np.random.default_rng(10).uniform(-4.0, 4.0, size=12)
-        t = 0.0123456
-        v, w = x[:6], x[6:]
-        dv = cfg.c * (v + w - v ** 3 / 3.0 + cfg.input(t)) - cfg.gamma * (L @ v) - ell * v
-        dw = -(v - cfg.a + cfg.b * w) / cfg.c
-        ref = np.concatenate([dv, dw])
-        assert np.all(np.abs(f(t, x) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    def test_stacked_batch_axes(self):
+        cfg = six_config(a=0.3, gamma=0.2, input=SPIKES, t_end=0.3)
+        x0 = np.random.default_rng(10).uniform(-4.0, 4.0, size=(2, 3, 12))
+        traj = simulate(cfg, x0=x0)
+        assert traj.states.shape == (301, 2, 3, 12)
+        self._assert_close(traj, *reference_simulate(cfg, x0))
+
+    def test_entrain_shape(self):
+        # The benchmark's shape: N = 30, a batch of 4, over 600 steps, so that
+        # two full blocks of finiteness checks and a partial one run.
+        rng = np.random.default_rng(12)
+        cfg = FhnConfig(adjacency=random_connected_adjacency(rng, 30), a=0.3, t_end=0.6)
+        x0 = rng.uniform(-4.0, 4.0, size=(4, 60))
+        traj = simulate(cfg, x0=x0)
+        assert traj.states.shape == (601, 4, 60)
+        self._assert_close(traj, *reference_simulate(cfg, x0))
+
+    def test_divergence_after_the_first_block(self):
+        # The input jumps to 1e300 just after t = 0.3, so v^3 overflows at
+        # step 301, in the second block of finiteness checks.
+        spike = SpikeTrainInput([0.0, 0.3, 0.3001, 1.0], [0.0, 0.0, 1e300, 0.0])
+        cfg = six_config(input=spike, t_end=0.6)
+        x0 = np.random.default_rng(13).uniform(-4.0, 4.0, size=(2, 12))
+        with pytest.raises(DivergedError) as ref:
+            reference_simulate(cfg, x0)
+        with pytest.raises(DivergedError) as got:
+            simulate(cfg, x0=x0)
+        assert got.value.time == ref.value.time
+        assert got.value.time == pytest.approx(0.301)
 
     @pytest.mark.parametrize("w", [1e103, 1e200])
     def test_overflowing_recovery_state_diverges_on_first_step(self, w):
@@ -472,6 +501,22 @@ class TestEntrainmentCheck:
             entrainment_check(six_config(), [a, other], transient_periods=2)
         with pytest.raises(ValueError, match="two trajectories"):
             entrainment_check(six_config(), [a], transient_periods=2)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"period": np.nan}, "^period must be a finite positive"),
+        ({"period": 0.0}, "^period must be a finite positive"),
+        ({"period": -1.0}, "^period must be a finite positive"),
+        ({"fit_start": np.nan}, "^fit_start must be a finite real"),
+        ({"fit_start": 5.0}, "fewer than two samples"),
+        ({"fit_start": 4.9995}, "fewer than two samples"),
+        ({"transient_periods": -20}, "^transient_periods must be nonnegative"),
+        ({"transient_periods": 1.5}, "^transient_periods must be an integer"),
+        ({"transient_periods": True}, "^transient_periods must be an integer"),
+    ])
+    def test_argument_validation(self, kwargs, message):
+        a, b, _ = self._synthetic()  # samples every 1e-3 up to t = 5
+        with pytest.raises(ValueError, match=message):
+            entrainment_check(six_config(), [a, b], **{"transient_periods": 2, **kwargs})
 
     def test_period_step_divisibility(self):
         times = np.arange(8000) * 0.0007

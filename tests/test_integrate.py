@@ -78,6 +78,15 @@ def test_non_finite_horizon_and_step(name, bad):
         rk4(lambda t, x: x, np.zeros(1), **args)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_state(bad):
+    calls = []
+    with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
+        rk4(lambda t, x: calls.append(t) or -x, np.array([[0.0, 1.0], [bad, 2.0]]),
+            0.0, 1.0, 0.1)
+    assert calls == []  # rejected before the first step
+
+
 @pytest.mark.parametrize("t0, t_end, step", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
 def test_step_count_overflow(t0, t_end, step):
     with pytest.raises(ValueError, match="overflows"):
