@@ -20,6 +20,7 @@ from netcontract.balancing import (
 )
 from netcontract.fhn import (
     ContractionCertificate,
+    DivergedError,
     EntrainmentReport,
     FhnConfig,
     SinusoidInput,
@@ -49,7 +50,6 @@ from netcontract.hierarchy import (
     synthesize_gains,
     tridiagonal_gains,
 )
-from netcontract.integrate import DivergedError, rk4
 from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
 from netcontract.metzler import (
     Classification,

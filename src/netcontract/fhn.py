@@ -26,7 +26,6 @@ from itertools import combinations
 
 import numpy as np
 
-from netcontract.integrate import _BLOCK, DivergedError, _check_finite, _finite_start, _grid
 from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_array, _integer,
                                   _vector, matrix_measure)
 
@@ -341,6 +340,42 @@ class Trajectory:
         return self.states[..., self.n_neurons:]
 
 
+# Steps between finiteness checks of the stored states.
+_BLOCK = 256
+
+
+class DivergedError(RuntimeError):
+    """State became non-finite during integration; carries the time."""
+
+    def __init__(self, time: float):
+        super().__init__(f"state became non-finite at t = {time:g}")
+        self.time = float(time)
+
+
+def _grid(t_end, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, mid, end) of a run from t = 0: the step times t_k, and the
+    times t_k + step/2 and t_k + step of each step's later RK4 stages."""
+    t_end = _finite("t_end", t_end)
+    step = _finite("step", step, positive=True)
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    span = t_end / step
+    if span == np.inf:
+        raise ValueError(f"t_end / step overflows: t_end = {t_end:g}, step = {step:g}")
+    n_steps = max(int(round(span)), 1)
+    times = step * np.arange(n_steps + 1)
+    return times, times[:-1] + step / 2.0, times[:-1] + step
+
+
+def _check_finite(times, out, first: int, stop: int) -> None:
+    """Raise DivergedError at the first of the states out[first:stop] with a
+    non-finite entry, if any.  A non-finite entry stays non-finite in every
+    later state, so checking once per block of steps finds the first one."""
+    finite = np.isfinite(out[first:stop]).all(axis=tuple(range(1, out.ndim)))
+    if not finite.all():
+        raise DivergedError(times[first + int(np.argmin(finite))])
+
+
 def _closed_loop_operator(config: FhnConfig) -> np.ndarray:
     """K = [J(0) | c (1_v, 0_w) | (a/c) (0_v, 1_w)], of shape (2N, 2N + 2), so
     that the closed loop is x' = K (x, r(t), 1) - (c/3) (v^3, 0)."""
@@ -365,18 +400,18 @@ def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
     stacked stages.  The input is evaluated once, vectorised, at the stage
     times of every step.  A non-finite x0 raises ValueError, and overflow
     raises DivergedError with the time of the first non-finite state.
-    (``integrate.rk4`` integrates any other right-hand side.)
     """
     if x0 is None:
         x0 = initial_state(config)
     x0 = np.asarray(x0, dtype=float)
     n = config.n_neurons
-    if x0.shape[-1] != 2 * n:
-        raise ValueError(f"x0 has state dimension {x0.shape[-1]}, expected {2 * n}")
+    if x0.ndim == 0 or x0.shape[-1] != 2 * n:
+        raise ValueError(f"x0 has shape {x0.shape}, expected state dimension {2 * n}")
     t_end = config.t_end if t_end is None else t_end
     step = config.step if step is None else step
-    times, mid, end = _grid(0.0, t_end, step)
-    _finite_start(x0)
+    times, mid, end = _grid(t_end, step)
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 has non-finite entries")
     r = np.asarray(config.input(np.concatenate([times, mid, end])), dtype=float)
     r_times, r_mid, r_end = np.split(r, [times.size, times.size + mid.size])
     # r at each step's four stage times, shaped to broadcast over the batch

@@ -4,8 +4,7 @@ import itertools
 
 import numpy as np
 
-from netcontract.fhn import fhn_gains, laplacian
-from netcontract.integrate import DivergedError
+from netcontract.fhn import DivergedError, fhn_gains, laplacian
 from netcontract.metzler import NoConvergenceError, _measure
 
 

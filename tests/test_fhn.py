@@ -2,13 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import netcontract.fhn
 from pathlib import Path
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
+    _BLOCK,
+    _check_finite,
     _closed_loop_operator,
+    _grid,
     DivergedError,
     FhnConfig,
     SinusoidInput,
@@ -307,10 +311,14 @@ class TestClosedLoopOperator:
 
 
 class TestSimulate:
-    def test_origin_is_equilibrium_without_input(self):
+    # A horizon shorter than one step still takes one step.
+    @pytest.mark.parametrize("t_end, step, times", [(1.0, 1e-2, np.arange(101) * 1e-2),
+                                                    (0.001, 1.0, [0.0, 1.0])])
+    def test_origin_is_equilibrium_without_input(self, t_end, step, times):
         cfg = FhnConfig(adjacency=[[0.0]], a=0.0, input=ZeroInput(),
-                        gains=[6.05], t_end=1.0, step=1e-2)
+                        gains=[6.05], t_end=t_end, step=step)
         traj = simulate(cfg, x0=np.zeros(2))
+        assert np.array_equal(traj.times, times)
         assert np.all(traj.states == 0.0)
         assert np.all(traj.input_trace == 0.0)
 
@@ -336,22 +344,136 @@ class TestSimulate:
         t2 = simulate(cfg, t_end=0.2)
         assert np.array_equal(t1.states, t2.states)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("x0", [np.zeros(10), 1.0])
+    def test_dimension_mismatch(self, x0):
         with pytest.raises(ValueError, match="state dimension"):
-            simulate(six_config(), x0=np.zeros(10))
+            simulate(load_config(FHN6), x0=x0, t_end=0.01)
 
-    def test_non_finite_initial_state(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_initial_state(self, bad, batched):
+        # One non-finite entry anywhere in a batch rejects the whole run
+        # before the input is evaluated or a step is taken.
+        calls = []
+        cfg = dataclasses.replace(load_config(FHN6),
+                                  input=lambda t: calls.append(t) or np.zeros_like(t))
+        x0 = np.zeros((2, 12)) if batched else np.full(12, bad)
+        if batched:
+            x0[1, 7] = bad
         with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
-            simulate(load_config(FHN6), x0=np.full(12, np.nan), t_end=1.0)
+            simulate(cfg, x0=x0, t_end=1.0)
+        assert calls == []
 
-    @pytest.mark.parametrize("name, bad", [("t_end", np.inf), ("t_end", np.nan),
-                                           ("step", np.nan), ("step", np.inf)])
-    def test_non_finite_horizon_and_step(self, name, bad):
-        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
-            simulate(six_config(), **{name: bad})
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_end": np.inf}, "^t_end must be a finite real"),
+        ({"t_end": np.nan}, "^t_end must be a finite real"),
+        ({"t_end": 0.0}, "^t_end must be positive$"),
+        ({"t_end": -1.0}, "^t_end must be positive$"),
+        ({"step": np.nan}, "^step must be a finite positive"),
+        ({"step": np.inf}, "^step must be a finite positive"),
+        ({"step": "0.1"}, "^step must be a finite positive"),
+        ({"step": 0.0}, "^step must be a finite positive"),
+        ({"step": -0.1}, "^step must be a finite positive"),
+        ({"t_end": 1e300, "step": 1e-300}, "^t_end / step overflows"),
+        ({"t_end": 1e308, "step": 0.5}, "^t_end / step overflows"),
+    ])
+    def test_horizon_and_step_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(six_config(), **kwargs)
+
+
+class TestGridAndFiniteCheck:
+    """The step grid of ``simulate`` and its blockwise finiteness check."""
+
+    @pytest.mark.parametrize("t_end, step, n_steps", [
+        (1.0, 1e-2, 100),
+        (1.0, 0.3, 3),  # round(1 / 0.3) steps
+        (0.001, 1.0, 1),  # at least one step
+        (18.0, 2e-3, 9000),  # the entrain horizon
+    ])
+    def test_grid(self, t_end, step, n_steps):
+        times, mid, end = _grid(t_end, step)
+        assert np.array_equal(times, step * np.arange(n_steps + 1))
+        # the later RK4 stages sit half-way through and at the end of each step
+        assert_allclose(mid, (times[:-1] + times[1:]) / 2.0, rtol=0.0, atol=1e-12 * times[-1])
+        assert_allclose(end, times[1:], rtol=0.0, atol=1e-12 * times[-1])
+
+    # The entry of state `bad_at` and of every later state is non-finite, as
+    # in a run that has diverged; only states[first:stop] are checked.
+    @pytest.mark.parametrize("shape, first, stop, bad_at, raised_at", [
+        ((10,), 0, 10, None, None),  # all finite
+        ((10, 2, 3), 0, 10, 4, 4),
+        ((10, 2, 3), 3, 7, 3, 3),  # at the window's first state
+        ((10, 2, 3), 3, 7, 7, None),  # just after the window
+        ((10,), 2, 10, 9, 9),  # unbatched, at the last state
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_check_finite(self, shape, first, stop, bad_at, raised_at, bad):
+        times = 0.5 * np.arange(shape[0])
+        out = np.ones(shape)
+        if bad_at is not None:
+            out[(slice(bad_at, None),) + (-1,) * (len(shape) - 1)] = bad
+        if raised_at is None:
+            _check_finite(times, out, first, stop)
+            return
+        with pytest.raises(DivergedError, match="^state became non-finite at t = ") as exc:
+            _check_finite(times, out, first, stop)
+        assert exc.value.time == times[raised_at]
 
 
 SPIKES = SpikeTrainInput([0.0, 0.1, 0.4, 1.5], [0.0, 8.0, -1.0, 0.0])
+
+
+class TestReferenceRk4:
+    """The oracle that ``simulate`` is compared with, checked on its own."""
+
+    def test_matches_matrix_exponential(self):
+        rng = np.random.default_rng(0)
+        A = rng.uniform(-1, 1, size=(4, 4))
+        x0 = rng.uniform(-1, 1, size=4)
+        times, states = reference_rk4(lambda t, x: A @ x, x0, 0.0, 2.0, 1e-3)
+        assert_allclose(states[-1], scipy.linalg.expm(2.0 * A) @ x0, atol=1e-10)
+        assert times[0] == 0.0
+        assert_allclose(times[-1], 2.0, atol=1e-12)
+
+    def test_fourth_order_convergence(self):
+        # x' = cos(t) x has solution x0 exp(sin t); halving the step should
+        # shrink the endpoint error by about 2^4
+        sol = 3.0 * np.exp(np.sin(1.5))
+
+        def err(h):
+            _, states = reference_rk4(lambda t, x: np.cos(t) * x, np.array([3.0]), 0.0, 1.5, h)
+            return abs(states[-1, 0] - sol)
+
+        assert 12.0 < err(0.1) / err(0.05) < 20.0
+        assert 12.0 < err(0.05) / err(0.025) < 20.0
+
+    def test_time_dependent_quadrature(self):
+        # x' = 3t^2 integrates exactly: RK4 is exact on cubics
+        times, states = reference_rk4(lambda t, x: np.array([3.0 * t * t]), np.array([0.0]),
+                                      0.0, 2.0, 0.25)
+        assert_allclose(states[:, 0], times ** 3, atol=1e-12)
+
+    def test_batched_states(self):
+        x0 = np.arange(12.0).reshape(4, 3)
+        times, states = reference_rk4(lambda t, x: -x, x0, 0.0, 1.0, 0.01)
+        assert times.shape == (101,)
+        assert states.shape == (101, 4, 3)
+        assert_allclose(states[-1], x0 * np.exp(-1.0), atol=1e-9)
+
+    @pytest.mark.parametrize("blowup_step", [1, 128, 532])
+    def test_divergence_time(self, blowup_step):
+        # f turns infinite from the middle of step `blowup_step` on, so the
+        # first non-finite state is states[blowup_step].
+        step = 0.01
+        onset = (blowup_step - 0.5) * step
+
+        def f(t, x):
+            return np.full_like(x, np.inf) if t >= onset else -x
+
+        with pytest.raises(DivergedError) as exc:
+            reference_rk4(f, np.ones((2, 3)), 0.0, 6.0, step)
+        assert exc.value.time == pytest.approx(blowup_step * step)
 
 
 def reference_simulate(config, x0, t_end=None, step=None):
@@ -420,10 +542,14 @@ class TestSimulateMatchesReference:
         assert traj.states.shape == (601, 4, 60)
         self._assert_close(traj, *reference_simulate(cfg, x0))
 
-    def test_divergence_after_the_first_block(self):
-        # The input jumps to 1e300 just after t = 0.3, so v^3 overflows at
-        # step 301, in the second block of finiteness checks.
-        spike = SpikeTrainInput([0.0, 0.3, 0.3001, 1.0], [0.0, 0.0, 1e300, 0.0])
+    @pytest.mark.parametrize("onset", [0.1, 0.3, 0.55])
+    def test_divergence_time_matches_reference(self, onset):
+        # The input jumps to 1e300 just after t = onset, so v^3 overflows on
+        # the step that ends at onset + 0.001: step 101 is in the first block
+        # of finiteness checks, step 301 in the second, full one, and step
+        # 551 in the final partial block, which starts at step 2 * 256 + 1.
+        assert _BLOCK == 256
+        spike = SpikeTrainInput([0.0, onset, onset + 1e-4, 1.0], [0.0, 0.0, 1e300, 0.0])
         cfg = six_config(input=spike, t_end=0.6)
         x0 = np.random.default_rng(13).uniform(-4.0, 4.0, size=(2, 12))
         with pytest.raises(DivergedError) as ref:
@@ -431,7 +557,7 @@ class TestSimulateMatchesReference:
         with pytest.raises(DivergedError) as got:
             simulate(cfg, x0=x0)
         assert got.value.time == ref.value.time
-        assert got.value.time == pytest.approx(0.301)
+        assert got.value.time == pytest.approx(onset + 0.001)
 
     @pytest.mark.parametrize("w", [1e103, 1e200])
     def test_overflowing_recovery_state_diverges_on_first_step(self, w):

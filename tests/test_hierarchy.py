@@ -19,12 +19,11 @@ from netcontract.hierarchy import (
     synthesize_gains,
     tridiagonal_gains,
 )
-from netcontract.integrate import rk4
 from netcontract.metzler import matrix_measure, perron_pair, spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import metzler_matrices, random_tridiagonal_metzler
-from reference import reference_block_bound_matrix
+from reference import reference_block_bound_matrix, reference_rk4
 
 WORKED_J = np.array([[1.0, 2.0, 0.0], [8.0, 1.0, 3.0], [0.0, 12.0, 1.0]])
 
@@ -142,7 +141,7 @@ class TestBlockBoundMatrix:
             alpha = spectral_abscissa(B)
             p = perron_pair(B).eigenvector
             x0 = rng.uniform(-1, 1, size=(4, n))
-            times, states = rk4(lambda t, x: x @ A.T, x0, 0.0, 2.0, 1e-3)
+            times, states = reference_rk4(lambda t, x: x @ A.T, x0, 0.0, 2.0, 1e-3)
             norms = composite_norm(states, part, weights=p)
             envelope = norms[0] * np.exp(alpha * times)[:, None]
             assert np.all(norms <= envelope * (1 + 1e-6) + 1e-12)
