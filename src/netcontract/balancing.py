@@ -29,6 +29,7 @@ from netcontract.metzler import (
     _by_component,
     _finite,
     _finite_entries,
+    _integer,
     _metzler_classified,
     _vector,
 )
@@ -181,6 +182,7 @@ def _balance(off: scipy.sparse.csr_array, cls: Classification, tol: float,
     reducible Metzler matrix: (d, Newton steps, clamped), each block's d led
     by 1."""
     tol = _finite("tol", tol, positive=True)
+    max_sweeps = _integer("max_sweeps", max_sweeps, positive=True)
     n = off.shape[0]
     start = np.zeros(n) if d0 is None else np.log(_vector("d0", d0, n, positive=True))
     within, order, starts = _by_component(off, cls)

@@ -111,8 +111,8 @@ class FhnConfig:
     so the caller's arrays stay writable and unchanged.  Assigning to a field
     raises ``dataclasses.FrozenInstanceError``; derive a changed config with
     ``dataclasses.replace``, which validates again.  The Laplacian, the
-    resolved gains and the linear part J(0) of the closed loop are computed
-    once per config and are read-only too.  Equality and hashing are by identity.
+    resolved gains and the closed-loop operator K are computed once per
+    config and are read-only too.  Equality and hashing are by identity.
     """
 
     adjacency: np.ndarray
@@ -161,16 +161,22 @@ class FhnConfig:
         return _read_only(self.gamma * self.adjacency.sum(axis=1))
 
     @cached_property
-    def _jacobian0(self) -> np.ndarray:
-        """J(0) with a zero voltage diagonal: gamma A, c I, -I/c and -(b/c) I."""
+    def _operator(self) -> np.ndarray:
+        """K = [J(0) | c (1_v, 0_w) | (a/c) (0_v, 1_w)], of shape (2N, 2N + 2),
+        so that the closed loop is x' = K (x, r(t), 1) - (c/3) (v^3, 0).  J(0)
+        has the blocks gamma A + diag(c - gamma deg - ell), c I, -I/c and
+        -(b/c) I."""
         n, c = self.n_neurons, self.c
         i = np.arange(n)
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, :n] = self.gamma * self.adjacency  # zero diagonal, as A's
-        J[i, n + i] = c
-        J[n + i, i] = -1.0 / c
-        J[n + i, n + i] = -self.b / c
-        return _read_only(J)
+        K = np.zeros((2 * n, 2 * n + 2))
+        K[:n, :n] = self.gamma * self.adjacency  # zero diagonal, as A's
+        K[i, i] = c - self._gamma_deg - self._gains
+        K[i, n + i] = c
+        K[n + i, i] = -1.0 / c
+        K[n + i, n + i] = -self.b / c
+        K[:n, 2 * n] = c
+        K[n:, 2 * n + 1] = self.a / c
+        return _read_only(K)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -239,14 +245,15 @@ def closed_loop_jacobian(config: FhnConfig, x) -> np.ndarray:
     """Jacobian of the closed-loop field at a state x of shape (2N,).
 
     Only the voltage diagonal c (1 - v^2) - gamma deg - ell depends on x: it
-    is written per call into a copy of the config's cached J(0).
+    is written per call into a copy of J(0), the first 2N columns of the
+    config's cached operator K.
     """
     n = config.n_neurons
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * n,):
         raise ValueError(f"x has shape {x.shape}, expected state dimension {2 * n}")
     v = x[:n]
-    J = config._jacobian0.copy()
+    J = config._operator[:, :2 * n].copy()
     J.reshape(-1)[:n * (2 * n + 1):2 * n + 1] = (
         config.c * (1.0 - v * v) - config._gamma_deg - config._gains)
     return J
@@ -312,6 +319,10 @@ def initial_state(config: FhnConfig, rng=None) -> np.ndarray:
 
 @dataclass
 class Trajectory:
+    """Sampled states, of shape (T, ..., 2N), at T finite, strictly increasing
+    times, with the input at each time.  The checks read the times and the
+    shapes only, never the states."""
+
     times: np.ndarray
     states: np.ndarray
     input_trace: np.ndarray
@@ -320,12 +331,18 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
         self.input_trace = np.asarray(self.input_trace, dtype=float)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if (self.times.ndim != 1 or not np.isfinite(self.times).all()
+                or np.any(np.diff(self.times) <= 0)):
+            raise ValueError("times must be finite and strictly increasing")
+        if self.states.ndim < 2:
+            raise ValueError(f"states must have a time axis and a state axis, "
+                             f"got shape {self.states.shape}")
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("states and times disagree on sample count")
         if self.states.shape[-1] % 2 != 0:
             raise ValueError("state dimension must be even (v and w halves)")
+        if self.input_trace.shape != self.times.shape:
+            raise ValueError("input_trace and times disagree on sample count")
 
     @property
     def n_neurons(self) -> int:
@@ -355,10 +372,6 @@ class DivergedError(RuntimeError):
 def _grid(t_end, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(times, mid, end) of a run from t = 0: the step times t_k, and the
     times t_k + step/2 and t_k + step of each step's later RK4 stages."""
-    t_end = _finite("t_end", t_end)
-    step = _finite("step", step, positive=True)
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
     span = t_end / step
     if span == np.inf:
         raise ValueError(f"t_end / step overflows: t_end = {t_end:g}, step = {step:g}")
@@ -376,30 +389,19 @@ def _check_finite(times, out, first: int, stop: int) -> None:
         raise DivergedError(times[first + int(np.argmin(finite))])
 
 
-def _closed_loop_operator(config: FhnConfig) -> np.ndarray:
-    """K = [J(0) | c (1_v, 0_w) | (a/c) (0_v, 1_w)], of shape (2N, 2N + 2), so
-    that the closed loop is x' = K (x, r(t), 1) - (c/3) (v^3, 0)."""
-    n, c = config.n_neurons, config.c
-    K = np.zeros((2 * n, 2 * n + 2))
-    K[:, :2 * n] = closed_loop_jacobian(config, np.zeros(2 * n))
-    K[:n, 2 * n] = c
-    K[n:, 2 * n + 1] = config.a / c
-    return K
-
-
-def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
-             step: float | None = None) -> Trajectory:
-    """Integrate the closed-loop network by classical RK4; x0 defaults to a
-    seeded draw.
+def simulate(config: FhnConfig, x0=None) -> Trajectory:
+    """Integrate the closed-loop network by classical RK4 from t = 0 to the
+    config's t_end in steps of its step; x0 defaults to a seeded draw.
 
     x0 may carry leading batch axes (last axis 2N); batches integrate in
     lockstep on the shared grid, held as one (2N, batch) array.  Each RK4
-    stage is one product of the operator K of ``_closed_loop_operator`` with
-    the stage input (y, r, 1), plus the cubic on the voltage rows; the new
-    state is one product of the weights (h/6, h/3, h/3, h/6) with the four
-    stacked stages.  The input is evaluated once, vectorised, at the stage
-    times of every step.  A non-finite x0 raises ValueError, and overflow
-    raises DivergedError with the time of the first non-finite state.
+    stage is one product of the config's cached operator K with the stage
+    input (y, r, 1), plus the cubic on the voltage rows; the new state is one
+    product of the weights (h/6, h/3, h/3, h/6) with the four stacked stages.
+    The input is evaluated once, vectorised, at the stage times of every
+    step.  A non-finite x0 raises ValueError, and overflow raises
+    DivergedError with the time of the first non-finite state.  For another
+    horizon or step, pass ``dataclasses.replace(config, t_end=..., step=...)``.
     """
     if x0 is None:
         x0 = initial_state(config)
@@ -407,20 +409,18 @@ def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
     n = config.n_neurons
     if x0.ndim == 0 or x0.shape[-1] != 2 * n:
         raise ValueError(f"x0 has shape {x0.shape}, expected state dimension {2 * n}")
-    t_end = config.t_end if t_end is None else t_end
-    step = config.step if step is None else step
-    times, mid, end = _grid(t_end, step)
+    h = float(config.step)
+    times, mid, end = _grid(float(config.t_end), h)
     if not np.isfinite(x0).all():
         raise ValueError("x0 has non-finite entries")
     r = np.asarray(config.input(np.concatenate([times, mid, end])), dtype=float)
     r_times, r_mid, r_end = np.split(r, [times.size, times.size + mid.size])
     # r at each step's four stage times, shaped to broadcast over the batch
     stage_r = np.stack([r_times[:-1], r_mid, r_mid, r_end], axis=1)[:, :, None]
-    h = float(step)
     weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
     # 0-d arrays: numpy multiplies by them faster than by Python floats
     c3 = np.array(-config.c / 3.0)
-    a = [np.array(h / 2.0), np.array(h / 2.0), np.array(h)]
+    a = [np.array(h / 2.0), np.array(h / 2.0), np.array(h), None]
 
     out = np.empty(times.shape + x0.shape)
     out[0] = x0
@@ -430,15 +430,15 @@ def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
     z[:, -1] = 1.0
     z[0, :2 * n] = flat[0].T
     z_r, x = z[:, 2 * n], z[0, :2 * n]
-    K = _closed_loop_operator(config)
+    K = config._operator
     ks = np.empty((4, 2 * n, batch))  # the stage slopes k_i
     acc = np.empty((2 * n, batch))  # their weighted sum
     ks_flat, acc_flat = ks.reshape(4, -1), acc.reshape(-1)
     cube = np.empty((n, batch))
-    # Per stage: z_i, its v rows, k_i and its v rows; every stage but the
-    # last also writes the next stage's input x + a_i k_i.
-    stages = [(z[i], z[i, :n], ks[i], ks[i, :n], z[i + 1, :2 * n], a[i]) for i in range(3)]
-    zl, vl, kl, kvl = z[3], z[3, :n], ks[3], ks[3, :n]
+    # Per stage: z_i, its v rows, k_i and its v rows, and the slot of the
+    # next stage's input x + a_i k_i, which the last stage does not have.
+    stages = [(z[i], z[i, :n], ks[i], ks[i, :n], z[i + 1, :2 * n] if i < 3 else None, a[i])
+              for i in range(4)]
     dot, multiply = np.dot, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, times.size, _BLOCK):
@@ -451,13 +451,9 @@ def simulate(config: FhnConfig, x0=None, t_end: float | None = None,
                     cube *= vi
                     cube *= vi
                     kvi += cube
-                    multiply(ki, ai, out=y_next)
-                    y_next += x
-                dot(K, zl, out=kl)
-                multiply(vl, c3, out=cube)
-                cube *= vl
-                cube *= vl
-                kvl += cube
+                    if y_next is not None:
+                        multiply(ki, ai, out=y_next)
+                        y_next += x
                 dot(weights, ks_flat, out=acc_flat)
                 x += acc
                 flat[s] = x.T

@@ -67,11 +67,11 @@ class BlockPartition:
     block_norms: tuple[BlockNorm, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_integer("block sizes", s, positive=True) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "block_norms", tuple(self.block_norms))
-        if not sizes or any(s <= 0 for s in sizes):
-            raise ValueError("block sizes must be positive")
+        if not sizes:
+            raise ValueError("need at least one block")
         if len(self.block_norms) != len(sizes):
             raise ValueError(
                 f"{len(self.block_norms)} norms for {len(sizes)} blocks")
@@ -82,7 +82,7 @@ class BlockPartition:
 
     @classmethod
     def uniform(cls, sizes, kind="two") -> "BlockPartition":
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(sizes)
         return cls(sizes, tuple(BlockNorm(kind) for _ in sizes))
 
     @property
@@ -249,8 +249,8 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     bounded once.  The result is an underestimate of the true supremum and
     is flagged ``"sampled"``.  Non-finite domain bounds, a domain whose
     width hi - lo overflows, an empty or non-finite ``t_grid``, a
-    ``samples`` that is not a positive integer, and a NaN or infinite
-    Jacobian entry raise ValueError.
+    ``samples`` that is not a positive integer, a ``seed`` that is not an
+    integer, and a NaN or infinite Jacobian entry raise ValueError.
     """
     lo = _vector("domain lower bounds", domain[0], np.size(domain[0]))
     hi = _vector("domain upper bounds", domain[1], lo.shape[0])
@@ -263,6 +263,7 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     if t_grid.size == 0:
         raise ValueError("t_grid must hold at least one time")
     samples = _integer("samples", samples, positive=True)
+    seed = _integer("seed", seed)
     dim = lo.shape[0]
     rng = np.random.default_rng(seed)
     # Exact halving, and no overflow of lo + hi near the float range.

@@ -15,11 +15,14 @@ CSV_FLOAT_FMT = "%.17g"
 
 
 def read_matrix(path) -> np.ndarray:
-    """Load a dense 2-D array from a Matrix Market or CSV file."""
+    """Load a dense 2-D real array from a Matrix Market or CSV file; a
+    complex Matrix Market file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline()
     if head.startswith("%%MatrixMarket"):
-        rows, cols = scipy.io.mminfo(path)[:2]
+        rows, cols, _, _, kind, _ = scipy.io.mminfo(path)
+        if kind == "complex":
+            raise ValueError(f"{path}: complex Matrix Market entries are not supported")
         if rows == 0 or cols == 0:  # scipy's reader can die of SIGFPE on these
             return np.empty((rows, cols))
         M = scipy.io.mmread(path)

@@ -297,6 +297,7 @@ def _perron(off: scipy.sparse.csr_array, diag: np.ndarray, tol: float,
     >= c_i, so v stays positive; the bracket is sound for any v > 0, so the
     iteration decides only how fast it narrows."""
     tol = _finite("tol", tol, positive=True)
+    max_iter = _integer("max_iter", max_iter, positive=True)
     starts = np.asarray(starts)
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=diag.size))
     lift = (1.0 + np.maximum.reduceat(np.abs(diag), starts)

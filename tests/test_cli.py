@@ -125,6 +125,15 @@ class TestStabilizeCommand:
         assert code == 1 and manifest is None
         assert err == "error: expected a non-empty square matrix, got shape (0, 0)\n"
 
+    def test_complex_input_rejected(self, capsys, tmp_path):
+        mat = tmp_path / "complex.mtx"
+        mat.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                       "2 2 2\n1 2 1.0 5.0\n2 1 2.0 0.0\n")
+        code, manifest, err = run(capsys, "stabilize", "--input", str(mat),
+                                  "--target", "-1")
+        assert code == 1 and manifest is None
+        assert err == f"error: {mat}: complex Matrix Market entries are not supported\n"
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
     def test_non_finite_input_rejected(self, capsys, tmp_path, cell, where):

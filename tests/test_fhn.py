@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from netcontract.fhn import (
     _BLOCK,
     _check_finite,
-    _closed_loop_operator,
     _grid,
     DivergedError,
     FhnConfig,
@@ -192,8 +191,8 @@ class TestClosedLoopJacobian:
 
     def test_scaled_measure_along_trajectory(self):
         # the certificate promises mu_2 of T J T^{-1} <= -eta at every state
-        cfg = six_config(seed=3)
-        traj = simulate(cfg, t_end=2.0)
+        cfg = six_config(seed=3, t_end=2.0)
+        traj = simulate(cfg)
         t_scale = scaled_norm_weights(cfg)
         for state in traj.states[::200]:
             J = closed_loop_jacobian(cfg, state)
@@ -257,12 +256,12 @@ class TestClosedLoopJacobian:
 
 
 def operator_field(cfg, t, x):
-    """x' = K (x, r(t), 1) - (c/3) (v^3, 0) with K from _closed_loop_operator,
-    batched over the leading axes of x."""
+    """x' = K (x, r(t), 1) - (c/3) (v^3, 0) with the config's cached operator
+    K, batched over the leading axes of x."""
     n = cfg.n_neurons
     ones = np.ones(x.shape[:-1] + (1,))
     z = np.concatenate([x, cfg.input(t) * ones, ones], axis=-1)
-    dx = z @ _closed_loop_operator(cfg).T
+    dx = z @ cfg._operator.T
     dx[..., :n] -= (cfg.c / 3.0) * x[..., :n] ** 3
     return dx
 
@@ -276,11 +275,15 @@ class TestClosedLoopOperator:
 
     def test_columns(self):
         cfg = self._config()
-        K = _closed_loop_operator(cfg)
+        K = cfg._operator
         assert K.shape == (12, 14)
         assert np.array_equal(K[:, :12], closed_loop_jacobian(cfg, np.zeros(12)))
         assert np.array_equal(K[:, 12], np.repeat([cfg.c, 0.0], 6))
         assert np.array_equal(K[:, 13], np.repeat([0.0, cfg.a / cfg.c], 6))
+        # simulate and closed_loop_jacobian share this one K of the config
+        assert cfg._operator is K
+        with pytest.raises(ValueError, match="read-only"):
+            K[0, 0] = 0.0
 
     def test_matches_term_by_term_equations(self):
         # the module docstring's equations, written out per term
@@ -323,8 +326,8 @@ class TestSimulate:
         assert np.all(traj.input_trace == 0.0)
 
     def test_shapes_and_input_trace(self):
-        cfg = six_config()
-        traj = simulate(cfg, t_end=0.1)
+        cfg = six_config(t_end=0.1)
+        traj = simulate(cfg)
         assert traj.times.shape == (101,)
         assert traj.states.shape == (101, 12)
         assert traj.input_trace.shape == (101,)
@@ -333,21 +336,21 @@ class TestSimulate:
         assert traj.v.shape == (101, 6) and traj.w.shape == (101, 6)
 
     def test_batched_initial_states(self):
-        cfg = six_config()
+        cfg = six_config(t_end=0.05)
         x0 = np.stack([initial_state(cfg, np.random.default_rng(s)) for s in (0, 1, 2)])
-        traj = simulate(cfg, x0=x0, t_end=0.05)
+        traj = simulate(cfg, x0=x0)
         assert traj.states.shape == (51, 3, 12)
 
     def test_deterministic(self):
-        cfg = six_config(seed=5)
-        t1 = simulate(cfg, t_end=0.2)
-        t2 = simulate(cfg, t_end=0.2)
+        cfg = six_config(seed=5, t_end=0.2)
+        t1 = simulate(cfg)
+        t2 = simulate(cfg)
         assert np.array_equal(t1.states, t2.states)
 
     @pytest.mark.parametrize("x0", [np.zeros(10), 1.0])
     def test_dimension_mismatch(self, x0):
         with pytest.raises(ValueError, match="state dimension"):
-            simulate(load_config(FHN6), x0=x0, t_end=0.01)
+            simulate(dataclasses.replace(load_config(FHN6), t_end=0.01), x0=x0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("batched", [False, True])
@@ -355,20 +358,20 @@ class TestSimulate:
         # One non-finite entry anywhere in a batch rejects the whole run
         # before the input is evaluated or a step is taken.
         calls = []
-        cfg = dataclasses.replace(load_config(FHN6),
+        cfg = dataclasses.replace(load_config(FHN6), t_end=1.0,
                                   input=lambda t: calls.append(t) or np.zeros_like(t))
         x0 = np.zeros((2, 12)) if batched else np.full(12, bad)
         if batched:
             x0[1, 7] = bad
         with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
-            simulate(cfg, x0=x0, t_end=1.0)
+            simulate(cfg, x0=x0)
         assert calls == []
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"t_end": np.inf}, "^t_end must be a finite real"),
-        ({"t_end": np.nan}, "^t_end must be a finite real"),
-        ({"t_end": 0.0}, "^t_end must be positive$"),
-        ({"t_end": -1.0}, "^t_end must be positive$"),
+        ({"t_end": np.inf}, "^t_end must be a finite positive"),
+        ({"t_end": np.nan}, "^t_end must be a finite positive"),
+        ({"t_end": 0.0}, "^t_end must be a finite positive"),
+        ({"t_end": -1.0}, "^t_end must be a finite positive"),
         ({"step": np.nan}, "^step must be a finite positive"),
         ({"step": np.inf}, "^step must be a finite positive"),
         ({"step": "0.1"}, "^step must be a finite positive"),
@@ -379,7 +382,7 @@ class TestSimulate:
     ])
     def test_horizon_and_step_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            simulate(six_config(), **kwargs)
+            simulate(dataclasses.replace(six_config(), **kwargs))
 
 
 class TestGridAndFiniteCheck:
@@ -476,7 +479,7 @@ class TestReferenceRk4:
         assert exc.value.time == pytest.approx(blowup_step * step)
 
 
-def reference_simulate(config, x0, t_end=None, step=None):
+def reference_simulate(config, x0):
     """The closed loop integrated by the plain RK4 loop, with the field
     written per call and the input evaluated at each stage's time."""
     n, c = config.n_neurons, config.c
@@ -490,8 +493,7 @@ def reference_simulate(config, x0, t_end=None, step=None):
         dx[..., :n] -= (c / 3.0) * (v * v * v)
         return dx
 
-    return reference_rk4(f, x0, 0.0, config.t_end if t_end is None else t_end,
-                         config.step if step is None else step)
+    return reference_rk4(f, x0, 0.0, config.t_end, config.step)
 
 
 class TestSimulateMatchesReference:
@@ -516,13 +518,13 @@ class TestSimulateMatchesReference:
     def test_horizon_and_step_overrides(self):
         # round(1.0 / 0.3) = 3 steps, ending at 0.9 rather than at t_end; a
         # weak input keeps the cubic stable at this step.
-        cfg = six_config(a=0.3, input=SpikeTrainInput([0.0, 0.1, 0.4, 1.5],
-                                                      [0.0, 0.5, -0.2, 0.0]))
+        cfg = six_config(a=0.3, t_end=1.0, step=0.3,
+                         input=SpikeTrainInput([0.0, 0.1, 0.4, 1.5], [0.0, 0.5, -0.2, 0.0]))
         x0 = np.random.default_rng(9).uniform(-0.5, 0.5, size=12)
-        traj = simulate(cfg, x0=x0, t_end=1.0, step=0.3)
+        traj = simulate(cfg, x0=x0)
         assert traj.times.shape == (4,)
         assert traj.times[-1] == pytest.approx(0.9)
-        self._assert_close(traj, *reference_simulate(cfg, x0, t_end=1.0, step=0.3))
+        self._assert_close(traj, *reference_simulate(cfg, x0))
         assert np.array_equal(traj.input_trace, cfg.input(traj.times))
 
     def test_stacked_batch_axes(self):
@@ -572,12 +574,40 @@ class TestSimulateMatchesReference:
         assert got.value.time == ref.value.time == cfg.step
 
 
+class TestTrajectory:
+    TIMES = [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("times, states, input_trace, message", [
+        ([0.0, np.nan], np.zeros((2, 2)), np.zeros(2), "^times must be finite"),
+        ([0.0, np.inf], np.zeros((2, 2)), np.zeros(2), "^times must be finite"),
+        ([0.0, 1.0, 1.0], np.zeros((3, 2)), np.zeros(3), "strictly increasing$"),
+        ([1.0, 0.0], np.zeros((2, 2)), np.zeros(2), "strictly increasing$"),
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), "strictly increasing$"),
+        (TIMES, np.zeros(2), np.zeros(3), "^states must have a time axis"),  # 1-D
+        (TIMES, np.zeros(3), np.zeros(3), "^states must have a time axis"),
+        (TIMES, 0.0, np.zeros(3), "^states must have a time axis"),  # was IndexError
+        (TIMES, np.zeros((2, 2)), np.zeros(3), "^states and times disagree"),
+        (TIMES, np.zeros((3, 3)), np.zeros(3), "^state dimension must be even"),
+        (TIMES, np.zeros((3, 2)), np.zeros(2), "^input_trace and times disagree"),
+        (TIMES, np.zeros((3, 2)), np.zeros((3, 1)), "^input_trace and times disagree"),
+    ])
+    def test_rejects_malformed(self, times, states, input_trace, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(times, states, input_trace)
+
+    def test_states_are_not_scanned(self):
+        # Non-finite states are what DivergedError reports; a Trajectory
+        # holds whatever it is given.
+        traj = Trajectory(self.TIMES, np.full((3, 2), np.nan), np.zeros(3))
+        assert np.isnan(traj.states).all()
+
+
 class TestGapDecay:
     def test_certified_envelope_and_derivative(self):
-        cfg = six_config()
+        cfg = six_config(t_end=5.0)
         rng = np.random.default_rng(11)
         x0 = rng.uniform(-4, 4, size=(2, 12))
-        traj = simulate(cfg, x0=x0, t_end=5.0)
+        traj = simulate(cfg, x0=x0)
         gap = scaled_state_norm(traj.states[:, 0] - traj.states[:, 1], cfg.c)
         envelope = gap[0] * np.exp(-cfg.eta * traj.times)
         assert np.all(gap[1:] <= 1.02 * envelope[1:])
@@ -668,9 +698,9 @@ class TestEntrainmentCheck:
         assert report.gap_slack <= 1.05
 
     def test_integrated_network_entrains(self):
-        cfg = six_config()
+        cfg = six_config(t_end=5.0)
         x0 = np.stack([initial_state(cfg, np.random.default_rng(s)) for s in (0, 1)])
-        traj = simulate(cfg, x0=x0, t_end=5.0)
+        traj = simulate(cfg, x0=x0)
         trajs = [Trajectory(traj.times, traj.states[:, i], traj.input_trace)
                  for i in range(2)]
         report = entrainment_check(cfg, trajs, transient_periods=2)
@@ -798,8 +828,8 @@ class TestTrajectoryCsv:
         assert np.array_equal(table[:, 3], traj.input_trace)
 
     def test_rejects_batched(self, tmp_path):
-        cfg = six_config()
-        traj = simulate(cfg, x0=np.zeros((2, 12)), t_end=0.01)
+        cfg = six_config(t_end=0.01)
+        traj = simulate(cfg, x0=np.zeros((2, 12)))
         with pytest.raises(ValueError, match="unbatched"):
             write_trajectory_csv(tmp_path / "x.csv", traj)
 

@@ -63,8 +63,8 @@ class TestBlockPartition:
         assert [s.start for s in part.slices()] == [0, 2, 5]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockPartition((0, 2), (BlockNorm("two"), BlockNorm("two")))
+        with pytest.raises(ValueError, match="^need at least one block$"):
+            BlockPartition((), ())
         with pytest.raises(ValueError):
             BlockPartition((2,), (BlockNorm("two"), BlockNorm("two")))
         with pytest.raises(ValueError):
@@ -73,6 +73,20 @@ class TestBlockPartition:
             BlockNorm("two", scaling=[1.0, -1.0])
         with pytest.raises(ValueError):
             BlockNorm("nuclear")
+
+    # 2.7 became a block of 2 and True one of 1.
+    @pytest.mark.parametrize("sizes", [(2.7,), (True,), (0, 2), (2, -1), ("2",), (None,)])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_sizes_must_be_positive_integers(self, sizes, uniform):
+        with pytest.raises(ValueError, match="^block sizes must be a positive integer"):
+            if uniform:
+                BlockPartition.uniform(sizes)
+            else:
+                BlockPartition(sizes, tuple(BlockNorm("two") for _ in sizes))
+
+    def test_numpy_integer_sizes(self):
+        part = BlockPartition.uniform(np.array([2, 1]))
+        assert part.sizes == (2, 1) and all(type(s) is int for s in part.sizes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_scaling_rejects_nan_and_inf(self, bad):
@@ -413,6 +427,13 @@ class TestJacobianSupEstimate:
         with pytest.raises(ValueError, match="^samples must be a positive integer"):
             jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
                                   ([0.0], [1.0]), samples=samples)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None])
+    def test_seed_must_be_integer(self, seed):
+        # 1.5 was a TypeError from SeedSequence.
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
+                                  ([0.0], [1.0]), samples=3, seed=seed)
 
     def test_numpy_integer_samples(self):
         est = jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),

@@ -50,6 +50,16 @@ def test_matrix_market_empty(tmp_path, body, shape):
     assert read_matrix(path).shape == shape
 
 
+def test_matrix_market_complex_rejected(tmp_path):
+    # mmread returns the complex matrix, and a float cast would drop its
+    # imaginary parts with only a ComplexWarning.
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                    "2 2 2\n1 2 1.0 5.0\n2 1 2.0 0.0\n")
+    with pytest.raises(ValueError, match="complex Matrix Market entries"):
+        read_matrix(path)
+
+
 def test_csv_matrix(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("-1.0,2.5\n0.125,3e-2\n")

@@ -431,6 +431,18 @@ def test_bad_tol_rejected(call, tol):
         call([[-1.0, 1.0], [4.0, -4.0]], tol=tol)
 
 
+@pytest.mark.parametrize("value", [1.5, True, -3, 0, "10", None])
+@pytest.mark.parametrize("call, knob", [
+    (perron_pair, "max_iter"), (spectral_abscissa, "max_iter"), (balance, "max_sweeps"),
+    (lambda A, **kw: minimal_effort_stabilize(A, np.ones(2), -1.0, **kw), "max_sweeps"),
+], ids=["perron_pair", "spectral_abscissa", "balance", "minimal_effort_stabilize"])
+def test_bad_iteration_cap_rejected(call, knob, value):
+    # 1.5 was a TypeError from range, True ran one step, and -3 raised
+    # NoConvergenceError "within -3 iterations".
+    with pytest.raises(ValueError, match=f"^{knob} must be a positive integer"):
+        call([[-1.0, 1.0], [4.0, -4.0]], **{knob: value})
+
+
 class TestMatrixMeasure:
     A = np.array([[-2.0, 1.0], [0.0, -3.0]])
 
