@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_array, _integer,
-                                  _vector, matrix_measure)
+                                  _measure, _seed, _vector)
 
 __all__ = [
     "SinusoidInput", "SpikeTrainInput", "ZeroInput", "FhnConfig", "Trajectory",
@@ -111,8 +111,9 @@ class FhnConfig:
     so the caller's arrays stay writable and unchanged.  Assigning to a field
     raises ``dataclasses.FrozenInstanceError``; derive a changed config with
     ``dataclasses.replace``, which validates again.  The Laplacian, the
-    resolved gains and the closed-loop operator K are computed once per
-    config and are read-only too.  Equality and hashing are by identity.
+    resolved gains and the closed-loop operator K, which
+    ``closed_loop_jacobian``, ``simulate`` and ``certify`` share, are computed
+    once per config and are read-only too.  Equality and hashing are by identity.
     """
 
     adjacency: np.ndarray
@@ -132,7 +133,7 @@ class FhnConfig:
         object.__setattr__(self, "adjacency", _read_only(adjacency))
         # laplacian() validates shape and entries; its result is kept
         object.__setattr__(self, "_laplacian", _read_only(laplacian(adjacency)))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
         for name in ("a", "b", "gamma", "eta"):
             _finite(name, getattr(self, name))
         for name in ("c", "t_end", "step"):
@@ -194,12 +195,18 @@ def _rates(c, gamma) -> tuple[float, float]:
 
 def voltage_jacobian_bound(L, c: float, gamma: float) -> np.ndarray:
     """State-independent bound c I - gamma (L + L^T)/2 on the symmetric part
-    of the voltage-voltage Jacobian block (the cubic only helps).  L must be
-    a non-empty square matrix of finite entries."""
+    of the voltage-voltage Jacobian block (the cubic only helps), from L;
+    ``certify`` measures it, less diag(ell), as the voltage block of the
+    config's K.  L must be a non-empty square matrix of finite entries."""
     c, gamma = _rates(c, gamma)
     L = _finite_entries(_as_square(L))
     n = L.shape[0]
     return c * np.eye(n) - gamma * (L + L.T) / 2.0
+
+
+def _eta_floor(gamma_deg, c) -> float:
+    """gamma * max deg - c, the least eta with the voltage bound + eta*I >= 0."""
+    return float(np.max(gamma_deg)) - c
 
 
 def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
@@ -213,7 +220,7 @@ def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
     eta = _finite("eta", eta)
     L = _finite_entries(_as_square(L))
     n = L.shape[0]
-    floor = gamma * float(np.max(np.diag(L))) - c
+    floor = _eta_floor(gamma * np.diag(L), c)
     if eta < floor:
         raise ValueError(
             f"eta = {eta:g} violates eta >= gamma * max degree - c = {floor:g}")
@@ -233,8 +240,13 @@ def scaled_norm_weights(config: FhnConfig) -> np.ndarray:
 
 
 def scaled_state_norm(x, c: float) -> np.ndarray:
-    """|x|_{2,T} = sqrt(|v|^2 + c^2 |w|^2), batched over leading axes."""
+    """|x|_{2,T} = sqrt(|v|^2 + c^2 |w|^2), batched over leading axes.  An
+    odd last axis, or a c that is not finite and positive, raises ValueError;
+    the entries of x are not scanned."""
     x = np.asarray(x, dtype=float)
+    c = _finite("c", c, positive=True)
+    if x.ndim == 0 or x.shape[-1] % 2 != 0:
+        raise ValueError(f"x has shape {x.shape}; its last axis must hold v and w halves")
     n = x.shape[-1] // 2
     v = x[..., :n]
     w = x[..., n:]
@@ -286,22 +298,17 @@ def certify(config: FhnConfig) -> ContractionCertificate:
     """Contraction certificate for the closed-loop network.
 
     In the scaled norm, mu of the closed-loop Jacobian at any state is at
-    most max(mu_2(c I - gamma (L + L^T)/2 - diag(ell)), -b/c).  The rate eta
-    is certified when that bound is <= -eta, which also needs eta <= b/c.
-    The nonnegativity of the bound plus eta*I is reported because the
-    minimum-gain closed form is only guaranteed optimal under it.
+    most max(mu_2 of the voltage block of J(0) in the config's K, -b/c), and
+    eta is certified when that is <= -eta, which needs eta <= b/c.  The gains'
+    closed form is optimal only when eta >= gamma * max deg - c.  Each check's
+    residual is a signed margin: at most 0 means room.
     """
-    L, ell = config._laplacian, config._gains
-    eta = config.eta
-    bound = voltage_jacobian_bound(L, config.c, config.gamma)
-    closed_bound = bound - np.diag(ell)
-    mu_v = matrix_measure(closed_bound, "two")
-    mu_scaled = max(mu_v, -config.b / config.c)
-    bound_min = float(np.min(bound + eta * np.eye(config.n_neurons)))
+    n, eta, b_over_c = config.n_neurons, config.eta, config.b / config.c
+    mu_scaled = max(float(_measure(config._operator[:n, :n], "two")), -b_over_c)
+    floor_gap = _eta_floor(config._gamma_deg, config.c) - eta
     checks = [
-        CertificateCheck("eta_le_b_over_c", eta <= config.b / config.c + _CERT_SLACK,
-                         eta - config.b / config.c),
-        CertificateCheck("bound_plus_eta_nonneg", bound_min >= -1e-12, -bound_min),
+        CertificateCheck("eta_le_b_over_c", eta <= b_over_c + _CERT_SLACK, eta - b_over_c),
+        CertificateCheck("bound_plus_eta_nonneg", floor_gap <= 1e-12, floor_gap),
         CertificateCheck("scaled_measure_le_minus_eta", mu_scaled <= -eta + _CERT_SLACK,
                          mu_scaled + eta),
     ]

@@ -26,6 +26,7 @@ from netcontract.metzler import (
     _finite_entries,
     _integer,
     _measure,
+    _seed,
     _vector,
     norm_kind,
 )
@@ -249,8 +250,8 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     bounded once.  The result is an underestimate of the true supremum and
     is flagged ``"sampled"``.  Non-finite domain bounds, a domain whose
     width hi - lo overflows, an empty or non-finite ``t_grid``, a
-    ``samples`` that is not a positive integer, a ``seed`` that is not an
-    integer, and a NaN or infinite Jacobian entry raise ValueError.
+    ``samples`` that is not a positive integer, a ``seed`` that is not a
+    nonnegative integer, and a NaN or infinite Jacobian entry raise ValueError.
     """
     lo = _vector("domain lower bounds", domain[0], np.size(domain[0]))
     hi = _vector("domain upper bounds", domain[1], lo.shape[0])
@@ -263,7 +264,7 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     if t_grid.size == 0:
         raise ValueError("t_grid must hold at least one time")
     samples = _integer("samples", samples, positive=True)
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     dim = lo.shape[0]
     rng = np.random.default_rng(seed)
     # Exact halving, and no overflow of lo + hi near the float range.

@@ -85,6 +85,15 @@ def _integer(name: str, value, positive: bool = False) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A seed for numpy's SeedSequence, a nonnegative integer, as an int;
+    anything else raises ValueError naming ``seed``."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {value!r}")
+    return seed
+
+
 def _float_array(name: str, value) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)

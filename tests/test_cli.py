@@ -283,6 +283,12 @@ class TestFhnCommands:
         assert m2["params"]["seed"] == 123
         assert m1["result"]["final_state"] != m2["result"]["final_state"]
 
+    def test_negative_seed_override_rejected(self, capsys):
+        code, manifest, err = run(capsys, "fhn", "simulate", "--config", str(FHN6),
+                                  "--t-end", "0.01", "--seed", "-1")
+        assert code == 1 and manifest is None
+        assert err.startswith("error: seed must be a nonnegative integer, got -1")
+
     def test_simulate_rejects_zero_period(self, capsys, tmp_path):
         cfg = json.loads(FHN6.read_text())
         cfg["input"] = {"kind": "sinusoid", "params": {"period": 0}}

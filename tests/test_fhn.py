@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
     _BLOCK,
+    _CERT_SLACK,
     _check_finite,
     _grid,
     DivergedError,
@@ -63,6 +64,39 @@ def ring_adjacency(n):
     i = np.arange(n)
     adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
     return adj
+
+
+def directed_adjacency(n, rng):
+    adj = (rng.uniform(size=(n, n)) < 0.3).astype(float)
+    np.fill_diagonal(adj, 0.0)
+    return adj
+
+
+def _directed_config(n, auto):
+    # directed, so the auto gains differ from node to node
+    rng = np.random.default_rng(n)
+    adj = directed_adjacency(n, rng)
+    return FhnConfig(adjacency=adj, gains=None if auto else rng.uniform(5.0, 7.0, size=n))
+
+
+def _detuned_ring():
+    adj = ring_adjacency(100)
+    return FhnConfig(adjacency=adj, gains=fhn_gains(laplacian(adj), 6.0, 0.05, 0.05) - 2e-5)
+
+
+# Configs for the certificate oracle: the detuned ring fails the measure
+# check and the last config fails the hypothesis eta >= gamma * max deg - c.
+CERTIFY_CASES = {
+    "fhn6": lambda: load_config(FHN6),
+    "ring100": lambda: FhnConfig(adjacency=ring_adjacency(100)),
+    "ring100-detuned": _detuned_ring,
+    **{f"directed{n}-{'auto' if auto else 'explicit'}": (
+        lambda n=n, auto=auto: _directed_config(n, auto))
+       for auto in (True, False) for n in (1, 2, 9, 30, 200)},
+    "complete5": lambda: FhnConfig(adjacency=np.ones((5, 5)) - np.eye(5)),
+    "gamma0": lambda: six_config(gamma=0.0),
+    "hypothesis-fails": lambda: six_config(c=0.05, gamma=3.0, gains=np.ones(6)),
+}
 
 
 class TestLaplacian:
@@ -172,6 +206,32 @@ class TestCertify:
         assert not by_name["eta_le_b_over_c"].passed
         assert not cert.passed
 
+    @pytest.mark.parametrize("name", list(CERTIFY_CASES))
+    def test_matches_voltage_bound_oracle(self, name):
+        # certify reads the voltage block of the config's K; the oracle builds
+        # the bound c I - gamma (L + L^T)/2 - diag(ell) from L.
+        cfg = CERTIFY_CASES[name]()
+        L, ell, eta, c = laplacian(cfg.adjacency), resolved_gains(cfg), cfg.eta, cfg.c
+        bound = voltage_jacobian_bound(L, c, cfg.gamma)
+        mu = max(matrix_measure(bound - np.diag(ell), "two"), -cfg.b / c)
+        cert = certify(cfg)
+        assert cert.mu_scaled == mu and cert.eta_certified == -mu
+        assert {ch.name: ch.passed for ch in cert.checks} == {
+            "eta_le_b_over_c": eta <= cfg.b / c + _CERT_SLACK,
+            "bound_plus_eta_nonneg": np.min(bound + eta * np.eye(cfg.n_neurons)) >= -1e-12,
+            "scaled_measure_le_minus_eta": mu <= -eta + _CERT_SLACK,
+        }
+        residual = {ch.name: ch.residual for ch in cert.checks}["bound_plus_eta_nonneg"]
+        assert residual == cfg.gamma * np.max(np.diag(L)) - c - eta
+
+    def test_hypothesis_violation_fails_its_check(self):
+        # eta = 0.05 < gamma * max deg - c = 3 * 3 - 0.05
+        cert = certify(CERTIFY_CASES["hypothesis-fails"]())
+        by_name = {c.name: c for c in cert.checks}
+        assert not by_name["bound_plus_eta_nonneg"].passed
+        assert by_name["bound_plus_eta_nonneg"].residual > 0
+        assert not cert.passed
+
 
 class TestClosedLoopJacobian:
     def test_block_structure(self):
@@ -215,11 +275,7 @@ class TestClosedLoopJacobian:
     @staticmethod
     def _adjacency(n, rng):
         # directed, so the auto gains differ from node to node
-        if n == 6:
-            return SIX_RING
-        adj = (rng.uniform(size=(n, n)) < 0.3).astype(float)
-        np.fill_diagonal(adj, 0.0)
-        return adj
+        return SIX_RING if n == 6 else directed_adjacency(n, rng)
 
     @pytest.mark.parametrize("n", [1, 2, 6, 30])
     @pytest.mark.parametrize("auto", [False, True])
@@ -241,8 +297,8 @@ class TestClosedLoopJacobian:
                               reference_closed_loop_jacobian(cfg, np.zeros(12)))
 
     def test_laplacian_built_once_per_config(self, monkeypatch):
-        # The validation builds it; the gains, certify, simulate and every
-        # Jacobian reuse that one.
+        # The validation builds it and the auto gains reuse it; certify,
+        # simulate and every Jacobian read K, which is built from those gains.
         calls = []
         monkeypatch.setattr(netcontract.fhn, "laplacian",
                             lambda adj: calls.append(1) or laplacian(adj))
@@ -616,6 +672,24 @@ class TestGapDecay:
         assert np.all(rate <= (-cfg.eta + 2e-3) * gap[1:])
 
 
+class TestScaledStateNorm:
+    def test_splits_the_last_axis_in_halves(self):
+        x = np.array([[3.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(scaled_state_norm(x, 4.0), [5.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), ()])
+    def test_odd_or_missing_state_axis_rejected(self, shape):
+        # (5,) gave 10.49 from 2 v entries and 3 w entries.
+        with pytest.raises(ValueError, match="last axis must hold v and w halves"):
+            scaled_state_norm(np.ones(shape), 6.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -6.0, "6"])
+    def test_c_must_be_finite_and_positive(self, c):
+        # nan gave nan and -6 was accepted.
+        with pytest.raises(ValueError, match="^c must be a finite positive number"):
+            scaled_state_norm(np.ones(6), c)
+
+
 class TestEntrainmentCheck:
     @staticmethod
     def _synthetic(delta=1e-3, eta=0.05, n_samples=5001):
@@ -844,6 +918,12 @@ class TestConfigValidation:
             FhnConfig(adjacency=[[0, 2], [2, 0]])
         with pytest.raises(ValueError, match="step"):
             six_config(step=0.0)
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence raised "expected non-negative integer" only at
+        # initial_state or simulate.
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            six_config(seed=-1)
 
 
 class TestConfigImmutable:

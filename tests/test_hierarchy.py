@@ -435,6 +435,13 @@ class TestJacobianSupEstimate:
             jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
                                   ([0.0], [1.0]), samples=3, seed=seed)
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence raised "expected non-negative integer", which
+        # does not name the argument.
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
+                                  ([0.0], [1.0]), samples=3, seed=-1)
+
     def test_numpy_integer_samples(self):
         est = jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
                                     ([0.0], [1.0]), samples=np.int64(3))
