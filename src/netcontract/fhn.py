@@ -401,14 +401,18 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
     config's t_end in steps of its step; x0 defaults to a seeded draw.
 
     x0 may carry leading batch axes (last axis 2N); batches integrate in
-    lockstep on the shared grid, held as one (2N, batch) array.  Each RK4
-    stage is one product of the config's cached operator K with the stage
-    input (y, r, 1), plus the cubic on the voltage rows; the new state is one
-    product of the weights (h/6, h/3, h/3, h/6) with the four stacked stages.
-    The input is evaluated once, vectorised, at the stage times of every
-    step.  A non-finite x0 raises ValueError, and overflow raises
-    DivergedError with the time of the first non-finite state.  For another
-    horizon or step, pass ``dataclasses.replace(config, t_end=..., step=...)``.
+    lockstep on the shared grid, held as one (2N, batch) array.  Stage i's
+    slope is k_i = K z_i - (c/3) (v_i^3, 0), with K the config's cached
+    operator and z_i = (y_i, r_i, 1) the stage input.  Each stage makes one
+    product of K with z_i, and two multiplies for the cube; the two terms
+    of k_i are never summed on their own.  Instead the next stage input
+    x + a_i k_i is one product of a coefficient row with the stacked
+    blocks (K z_1, ..., K z_4, v_1^3, ..., v_4^3, x), and the new state adds
+    one such product with the RK4 weights (h/6, h/3, h/3, h/6).  The input
+    is evaluated once, vectorised, at the stage times of every step.  A
+    non-finite x0 raises ValueError, and overflow raises DivergedError with
+    the time of the first non-finite state.  For another horizon or step,
+    pass ``dataclasses.replace(config, t_end=..., step=...)``.
     """
     if x0 is None:
         x0 = initial_state(config)
@@ -422,47 +426,57 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
         raise ValueError("x0 has non-finite entries")
     r = np.asarray(config.input(np.concatenate([times, mid, end])), dtype=float)
     r_times, r_mid, r_end = np.split(r, [times.size, times.size + mid.size])
-    # r at each step's four stage times, shaped to broadcast over the batch
-    stage_r = np.stack([r_times[:-1], r_mid, r_mid, r_end], axis=1)[:, :, None]
-    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    # 0-d arrays: numpy multiplies by them faster than by Python floats
-    c3 = np.array(-config.c / 3.0)
-    a = [np.array(h / 2.0), np.array(h / 2.0), np.array(h), None]
+    # r at each step's start, midpoint and end, shaped to broadcast over the batch
+    stage_r = np.stack([r_times[:-1], r_mid, r_end], axis=1)[:, :, None]
 
     out = np.empty(times.shape + x0.shape)
     out[0] = x0
     batch = math.prod(x0.shape[:-1])
     flat = out.reshape(times.size, batch, 2 * n)
-    z = np.empty((4, 2 * n + 2, batch))  # stage inputs (y_i, r_i, 1)
-    z[:, -1] = 1.0
-    z[0, :2 * n] = flat[0].T
-    z_r, x = z[:, 2 * n], z[0, :2 * n]
-    K = config._operator
-    ks = np.empty((4, 2 * n, batch))  # the stage slopes k_i
-    acc = np.empty((2 * n, batch))  # their weighted sum
-    ks_flat, acc_flat = ks.reshape(4, -1), acc.reshape(-1)
-    cube = np.empty((n, batch))
-    # Per stage: z_i, its v rows, k_i and its v rows, and the slot of the
-    # next stage's input x + a_i k_i, which the last stage does not have.
-    stages = [(z[i], z[i, :n], ks[i], ks[i, :n], z[i + 1, :2 * n] if i < 3 else None, a[i])
-              for i in range(4)]
+    # buf[0] holds nine contiguous (2N, batch) blocks, K z_1, ..., K z_4, the
+    # cubes (v_i^3, 0) and x, then the rows r and 1, so that its last 2N + 2
+    # rows are stage 1's input.  buf[1] and buf[2] use only those last rows,
+    # as the inputs of the stages at the midpoint (2 and 3) and at the end (4)
+    # of the step.  The zeros stay in each cube's w half, and make 0 times a
+    # block not yet computed 0 on the first step.
+    q = 2 * n
+    buf = np.zeros((3, 9 * q + 2, batch))
+    buf[:, -1] = 1.0
+    buf[0, 8 * q:9 * q] = flat[0].T
+    buf_r, x = buf[:, -2], buf[0, 8 * q:9 * q]
+    blocks = buf[0, :9 * q].reshape(9, -1)
+    c3 = -config.c / 3.0
+    a = np.array([h / 2.0, h / 2.0, h])  # stage i + 1's input is x + a_i k_i
+    w = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])  # the new state is x + sum w_i k_i
+    coef = np.zeros((3, 9))
+    coef[:, 8] = 1.0
+    coef[range(3), range(3)] = a
+    coef[range(3), range(4, 7)] = c3 * a
+    weights = np.concatenate([w, c3 * w])
+    acc = np.empty(q * batch)
+    # Per stage: its input z_i, the v rows of z_i, the v rows of its cube,
+    # the block K z_i, and the slot of the next stage's input with its
+    # coefficient row, which the last stage does not have.
+    inputs = [buf[0, 8 * q:], buf[1, 8 * q:], buf[1, 8 * q:], buf[2, 8 * q:]]
+    nexts = [(buf[j, 8 * q:9 * q].reshape(-1), row) for j, row in zip((1, 1, 2), coef)]
+    nexts.append((None, None))
+    stages = [(z, z[:n], buf[0, (4 + i) * q:(4 + i) * q + n], buf[0, i * q:(i + 1) * q],
+               *nexts[i]) for i, z in enumerate(inputs)]
+    K, x_flat = config._operator, x.reshape(-1)
     dot, multiply = np.dot, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, times.size, _BLOCK):
             stop = min(first + _BLOCK, times.size)
             for s in range(first, stop):
-                z_r[...] = stage_r[s - 1]
-                for zi, vi, ki, kvi, y_next, ai in stages:
-                    dot(K, zi, out=ki)
-                    multiply(vi, c3, out=cube)
-                    cube *= vi
-                    cube *= vi
-                    kvi += cube
+                buf_r[...] = stage_r[s - 1]
+                for z, v, cube, kz, y_next, row in stages:
+                    multiply(v, v, out=cube)
+                    multiply(cube, v, out=cube)
+                    dot(K, z, out=kz)
                     if y_next is not None:
-                        multiply(ki, ai, out=y_next)
-                        y_next += x
-                dot(weights, ks_flat, out=acc_flat)
-                x += acc
+                        dot(row, blocks, out=y_next)
+                dot(weights, blocks[:8], out=acc)
+                x_flat += acc
                 flat[s] = x.T
             _check_finite(times, out, first, stop)
     return Trajectory(times=times, states=out, input_trace=r[:times.size])
@@ -481,20 +495,35 @@ class EntrainmentReport:
 
 def entrainment_check(config: FhnConfig, trajectories, period: float | None = None,
                       fit_start: float = 1.0, transient_periods: int = 15) -> EntrainmentReport:
-    """Entrainment diagnostics for trajectories on a common grid.
+    """Entrainment diagnostics for unbatched trajectories on a common grid.
 
     Pairwise scaled gaps are compared against the certified envelope
     e^{-eta t} gap(0) and log-linear fitted for an empirical decay rate;
     steady-state periodicity and cross-neuron spread are measured over the
-    final period.  The horizon must leave room for the transient
-    (``transient_periods`` + 3 periods).  ``period`` must be finite and
-    positive, ``transient_periods`` a nonnegative integer, and ``fit_start``
-    finite with at least two samples in [fit_start, t_end]; anything else
-    raises ValueError.
+    final period.  Each pair is one pass: its squared gap is the difference
+    of the states, squared, times the weights (1_v, c^2 1_w); its decay rate
+    is the least-squares slope of log gap on the centred times of
+    [fit_start, t_end], where the gap is positive.
+
+    Each trajectory's states must have shape (T, 2N), with N the config's
+    neuron count, on one uniform time grid.  The horizon must leave room for
+    the transient (``transient_periods`` + 3 periods) and the period must be
+    a whole number of steps.  ``period`` must be finite and positive,
+    ``transient_periods`` a nonnegative integer, and ``fit_start`` finite
+    with at least two samples in [fit_start, t_end]; anything else raises
+    ValueError.
     """
     trajs = list(trajectories)
     if len(trajs) < 2:
         raise ValueError("need at least two trajectories")
+    n = config.n_neurons
+    for tr in trajs:
+        if tr.states.ndim != 2:
+            raise ValueError(f"trajectories must be unbatched, with states of shape "
+                             f"(T, 2N); got {tr.states.shape}")
+        if tr.states.shape[1] != 2 * n:
+            raise ValueError(f"states have dimension {tr.states.shape[1]}, expected "
+                             f"2N = {2 * n} for the config's {n} neurons")
     times = trajs[0].times
     for tr in trajs[1:]:
         if tr.states.shape != trajs[0].states.shape or not np.array_equal(tr.times, times):
@@ -513,33 +542,43 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
         raise ValueError(
             f"horizon {t_end:g} too short: need at least {(transient_periods + 3)} "
             f"periods ({(transient_periods + 3) * period:g}) to pass the transient")
-    eta = config.eta
-    c = config.c
-
-    gap_slack = 0.0
-    decay_rate = math.inf
-    fit_mask = times >= fit_start
-    if int(fit_mask.sum()) < 2:
+    fit = times >= fit_start
+    if int(fit.sum()) < 2:
         raise ValueError(f"fit_start = {fit_start:g} leaves fewer than two samples "
                          f"in [fit_start, {t_end:g}]")
-    n_pairs = 0
-    for ti, tj in combinations(trajs, 2):
-        gap = scaled_state_norm(ti.states - tj.states, c)
-        g0 = float(gap[0])
-        n_pairs += 1
-        if g0 == 0.0:
-            continue
-        envelope = g0 * np.exp(-eta * times)
-        gap_slack = max(gap_slack, float(np.max(gap[1:] / envelope[1:])))
-        valid = fit_mask & (gap > 0.0)
-        if int(valid.sum()) >= 2:
-            slope = float(np.polyfit(times[valid], np.log(gap[valid]), 1)[0])
-            decay_rate = min(decay_rate, -slope)
-
-    step = float(times[1] - times[0])
+    step = (t_end - float(times[0])) / (times.size - 1)
+    # Rounding of t_k = step * k moves a spacing by at most an ulp of t_end.
+    spacing_tol = 1e-9 * step + 4.0 * np.finfo(float).eps * max(abs(t_end), abs(times[0]))
+    if float(np.max(np.abs(np.diff(times) - step))) > spacing_tol:
+        raise ValueError("times must be uniformly spaced")
     k = int(round(period / step))
     if abs(k * step - period) > 1e-9 * max(1.0, period) or k < 1:
         raise ValueError("period is not an integer multiple of the sampling step")
+
+    weights = np.concatenate([np.ones(n), np.full(n, config.c * config.c)])
+    decay = np.exp(-config.eta * times[1:])
+    t_fit = times[fit]
+    gap_slack = 0.0
+    decay_rate = math.inf
+    d = np.empty(trajs[0].states.shape)  # one buffer for every pair's difference
+    for ti, tj in combinations(trajs, 2):
+        np.subtract(ti.states, tj.states, out=d)
+        d *= d
+        gap = np.sqrt(d @ weights)
+        g0 = float(gap[0])
+        if g0 == 0.0:
+            continue
+        gap_slack = max(gap_slack, float(np.max(gap[1:] / decay)) / g0)
+        gap_fit = gap[fit]
+        valid = gap_fit > 0.0
+        if int(valid.sum()) >= 2:
+            # Sums, not BLAS dot products: a threaded ddot over a long fit
+            # window can cost milliseconds in waking its threads.
+            t = t_fit[valid]
+            t = t - t.mean()
+            slope = float(np.sum(t * np.log(gap_fit[valid]))) / float(np.sum(t * t))
+            decay_rate = min(decay_rate, -slope)
+
     periodicity = 0.0
     spread = 0.0
     for tr in trajs:
@@ -548,9 +587,9 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
         periodicity = max(periodicity, float(np.max(np.abs(tail - prev))))
         v_tail = tr.v[-(k + 1):]
         spread = max(spread, float(np.max(v_tail.max(axis=-1) - v_tail.min(axis=-1))))
-    return EntrainmentReport(eta=eta, period=period, gap_slack=gap_slack,
+    return EntrainmentReport(eta=config.eta, period=period, gap_slack=gap_slack,
                              decay_rate=decay_rate, periodicity_residual=periodicity,
-                             sync_spread=spread, n_pairs=n_pairs)
+                             sync_spread=spread, n_pairs=len(trajs) * (len(trajs) - 1) // 2)
 
 
 _INPUT_KINDS = {"sinusoid": SinusoidInput, "spike_train": SpikeTrainInput, "zero": ZeroInput}

@@ -1,10 +1,12 @@
 """Reference implementations that tests compare the library against."""
 
 import itertools
+import math
 
 import numpy as np
 
-from netcontract.fhn import DivergedError, fhn_gains, laplacian
+from netcontract.fhn import (DivergedError, EntrainmentReport, fhn_gains, laplacian,
+                             scaled_state_norm)
 from netcontract.metzler import NoConvergenceError, _measure
 
 
@@ -84,3 +86,38 @@ def reference_perron(A, tol=1e-10, max_iter=100_000):
             return ratio.max() - shift, step
         v = Sv / Sv.max()
     raise NoConvergenceError("reference Perron iteration did not converge", np.inf)
+
+
+def reference_entrainment_check(config, trajectories, period=None, fit_start=1.0):
+    """The entrainment diagnostics pair by pair, written plainly for valid
+    arguments: each gap from ``scaled_state_norm``, its envelope
+    g0 e^{-eta t} formed per pair, and the decay rate from ``np.polyfit``."""
+    trajs = list(trajectories)
+    times = trajs[0].times
+    if period is None:
+        period = config.input.period
+    gap_slack, decay_rate, n_pairs = 0.0, math.inf, 0
+    fit_mask = times >= fit_start
+    for ti, tj in itertools.combinations(trajs, 2):
+        gap = scaled_state_norm(ti.states - tj.states, config.c)
+        g0 = float(gap[0])
+        n_pairs += 1
+        if g0 == 0.0:
+            continue
+        envelope = g0 * np.exp(-config.eta * times)
+        gap_slack = max(gap_slack, float(np.max(gap[1:] / envelope[1:])))
+        valid = fit_mask & (gap > 0.0)
+        if int(valid.sum()) >= 2:
+            slope = float(np.polyfit(times[valid], np.log(gap[valid]), 1)[0])
+            decay_rate = min(decay_rate, -slope)
+    k = int(round(period / float(times[1] - times[0])))
+    periodicity, spread = 0.0, 0.0
+    for tr in trajs:
+        tail = tr.states[-(k + 1):]
+        prev = tr.states[-(2 * k + 1):-k]
+        periodicity = max(periodicity, float(np.max(np.abs(tail - prev))))
+        v_tail = tr.v[-(k + 1):]
+        spread = max(spread, float(np.max(v_tail.max(axis=-1) - v_tail.min(axis=-1))))
+    return EntrainmentReport(eta=config.eta, period=period, gap_slack=gap_slack,
+                             decay_rate=decay_rate, periodicity_residual=periodicity,
+                             sync_spread=spread, n_pairs=n_pairs)

@@ -41,7 +41,8 @@ from netcontract.metzler import matrix_measure
 from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import random_connected_adjacency
-from reference import reference_closed_loop_jacobian, reference_rk4
+from reference import (reference_closed_loop_jacobian, reference_entrainment_check,
+                       reference_rk4)
 
 FHN6 = Path(__file__).resolve().parents[1] / "configs" / "fhn6.json"
 
@@ -755,6 +756,69 @@ class TestEntrainmentCheck:
                  Trajectory(times, states + 1.0, np.zeros(8000))]
         with pytest.raises(ValueError, match="integer multiple"):
             entrainment_check(six_config(), trajs, transient_periods=2)
+
+    @staticmethod
+    def _assert_matches_reference(cfg, trajs, fit_start=1.0):
+        got = entrainment_check(cfg, trajs, fit_start=fit_start, transient_periods=2)
+        ref = reference_entrainment_check(cfg, trajs, fit_start=fit_start)
+        assert got.n_pairs == ref.n_pairs
+        for name in ("eta", "period", "gap_slack", "decay_rate", "periodicity_residual",
+                     "sync_spread"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-12 * abs(getattr(ref, name))
+
+    @pytest.mark.parametrize("fit_start", [1.0, 4.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_polyfit_reference(self, seed, fit_start):
+        rng = np.random.default_rng(seed)
+        cfg = FhnConfig(adjacency=random_connected_adjacency(rng, 8), a=0.3, t_end=5.0,
+                        step=2e-3)
+        x0 = rng.uniform(-4.0, 4.0, size=(4, 16))
+        x0[3] = x0[0]  # a coincident pair, whose gap is 0 throughout
+        traj = simulate(cfg, x0=x0)
+        trajs = [Trajectory(traj.times, traj.states[:, i], traj.input_trace) for i in range(4)]
+        self._assert_matches_reference(cfg, trajs, fit_start)
+
+    def test_zero_gaps_left_out_of_the_fit(self):
+        a, b, _ = self._synthetic()
+        states = b.states.copy()
+        states[2000:2100] = a.states[2000:2100]  # the gap is exactly 0 there
+        b = Trajectory(b.times, states, b.input_trace)
+        self._assert_matches_reference(six_config(), [a, b])
+        report = entrainment_check(six_config(), [a, b], transient_periods=2)
+        assert abs(report.decay_rate - 0.05) < 1e-8
+
+    def test_batched_trajectory_rejected(self):
+        # float(gap[0]) used to raise a bare TypeError
+        cfg = dataclasses.replace(load_config(FHN6), t_end=0.05)
+        tr = simulate(cfg, x0=np.random.default_rng(14).uniform(-2.0, 2.0, (3, 12)))
+        with pytest.raises(ValueError, match=r"unbatched.*got \(51, 3, 12\)$"):
+            entrainment_check(cfg, [tr, tr])
+
+    def test_state_dimension_must_match_config(self):
+        # an 8-neuron config used to accept 6-neuron trajectories
+        a, b, _ = self._synthetic()
+        with pytest.raises(ValueError, match="dimension 12, expected 2N = 16"):
+            entrainment_check(FhnConfig(adjacency=ring_adjacency(8)), [a, b],
+                              transient_periods=2)
+
+    @pytest.mark.parametrize("shift", [5e-4, 1e-9])
+    def test_nonuniform_grid_rejected(self, shift):
+        # the sample count of a period used to come from times[1] - times[0]
+        a, b, _ = self._synthetic()
+        times = a.times.copy()
+        times[3000] += shift
+        trajs = [Trajectory(times, tr.states, tr.input_trace) for tr in (a, b)]
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            entrainment_check(six_config(), trajs, transient_periods=2)
+
+    @pytest.mark.parametrize("t_end, step", [(25.0, 1e-3), (18.0, 2e-3), (5.0, 0.1),
+                                             (20.0, 1.0 / 64), (200.0, 1e-3)])
+    def test_simulate_grids_are_uniform(self, t_end, step):
+        times, _, _ = _grid(t_end, step)
+        states = np.zeros((times.size, 2))
+        trajs = [Trajectory(times, states + i, np.zeros(times.size)) for i in range(2)]
+        report = entrainment_check(FhnConfig(adjacency=[[0.0]]), trajs, transient_periods=2)
+        assert report.n_pairs == 1
 
     def test_complete_graph_synchronizes(self):
         # uniform gains on a symmetric graph: neurons not only entrain to the
