@@ -23,7 +23,6 @@ from netcontract.fhn import (
     initial_state,
     load_config,
     resolved_gains,
-    scaled_state_norm,
     simulate,
     write_trajectory_csv,
 )
@@ -63,15 +62,13 @@ def main(argv=None):
     for seed, traj in zip(args.seeds, trajs):
         write_trajectory_csv(out / f"trajectory_seed{seed}.csv", traj)
 
-    gap_cols, gap_names = [], []
-    for (i, ti), (j, tj) in combinations(enumerate(trajs), 2):
-        gap_cols.append(scaled_state_norm(ti.states - tj.states, config.c))
-        gap_names.append(f"gap_{args.seeds[i]}_{args.seeds[j]}")
-    table = np.column_stack([batch.times] + gap_cols)
+    report = entrainment_check(config, trajs)
+    # report.gaps holds one row per pair, in combinations order.
+    gap_names = [f"gap_{si}_{sj}" for si, sj in combinations(args.seeds, 2)]
+    table = np.column_stack([batch.times, report.gaps.T])
     np.savetxt(out / "gaps.csv", table, delimiter=",", fmt="%.17g",
                header=",".join(["t"] + gap_names), comments="")
 
-    report = entrainment_check(config, trajs)
     print(f"\nentrainment over {len(trajs)} trajectories "
           f"({report.n_pairs} pairs, horizon {config.t_end:g}):")
     print(f"  envelope slack  : {report.gap_slack:.4f}  (<= 1 means the "

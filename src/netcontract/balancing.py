@@ -181,10 +181,10 @@ def _balance(off: scipy.sparse.csr_array, cls: Classification, tol: float,
     """Balancing scaling of the off-diagonal CSR of an irreducible or completely
     reducible Metzler matrix: (d, Newton steps, clamped), each block's d led
     by 1."""
-    tol = _finite("tol", tol, positive=True)
-    max_sweeps = _integer("max_sweeps", max_sweeps, positive=True)
+    tol = _finite("tol", tol, "positive")
+    max_sweeps = _integer("max_sweeps", max_sweeps, "positive")
     n = off.shape[0]
-    start = np.zeros(n) if d0 is None else np.log(_vector("d0", d0, n, positive=True))
+    start = np.zeros(n) if d0 is None else np.log(_vector("d0", d0, n, "positive"))
     within, order, starts = _by_component(off, cls)
     x, iterations, clamped = _newton_balance(within, starts, tol, max_sweeps, start[order])
     d = np.empty(n)
@@ -257,5 +257,5 @@ def potential(A, d) -> float:
     infinite entry of A, or a d that is not n finite positive numbers, raises
     ValueError."""
     M = _finite_entries(_as_square(A))
-    dd = _vector("d", d, M.shape[0], positive=True)
+    dd = _vector("d", d, M.shape[0], "positive")
     return float((M * (dd[None, :] / dd[:, None])).sum())

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_array, _integer,
-                                  _measure, _seed, _vector)
+                                  _measure, _vector)
 
 __all__ = [
     "SinusoidInput", "SpikeTrainInput", "ZeroInput", "FhnConfig", "Trajectory",
@@ -49,7 +49,7 @@ class SinusoidInput:
     def __post_init__(self):
         _finite("offset", self.offset)
         _finite("amplitude", self.amplitude)
-        _finite("period", self.period, positive=True)
+        _finite("period", self.period, "positive")
 
     def __call__(self, t):
         return self.offset + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t) / self.period)
@@ -85,7 +85,7 @@ class ZeroInput:
     period: float = 1.0
 
     def __post_init__(self):
-        _finite("period", self.period, positive=True)
+        _finite("period", self.period, "positive")
 
     def __call__(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -133,14 +133,12 @@ class FhnConfig:
         object.__setattr__(self, "adjacency", _read_only(adjacency))
         # laplacian() validates shape and entries; its result is kept
         object.__setattr__(self, "_laplacian", _read_only(laplacian(adjacency)))
-        object.__setattr__(self, "seed", _seed(self.seed))
-        for name in ("a", "b", "gamma", "eta"):
-            _finite(name, getattr(self, name))
-        for name in ("c", "t_end", "step"):
-            _finite(name, getattr(self, name), positive=True)
-        for name in ("b", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, "nonnegative"))
+        _rates(self.c, self.gamma)
+        _finite("a", self.a)
+        _finite("b", self.b, "nonnegative")
+        for name in ("eta", "t_end", "step"):
+            _finite(name, getattr(self, name), "positive")
         if self.gains is not None:
             gains = _vector("gains", self.gains, self.n_neurons).copy()
             object.__setattr__(self, "gains", _read_only(gains))
@@ -186,11 +184,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _rates(c, gamma) -> tuple[float, float]:
-    """c finite and positive, gamma finite and nonnegative, as floats."""
-    c, gamma = _finite("c", c, positive=True), _finite("gamma", gamma)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return c, gamma
+    """c and gamma as floats, once c is finite and positive and gamma finite
+    and nonnegative; anything else raises ValueError."""
+    return _finite("c", c, "positive"), _finite("gamma", gamma, "nonnegative")
 
 
 def voltage_jacobian_bound(L, c: float, gamma: float) -> np.ndarray:
@@ -212,12 +208,12 @@ def _eta_floor(gamma_deg, c) -> float:
 def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
     """Minimum-effort voltage gains for contraction rate eta.
 
-    ell* = (c + eta) 1 - (gamma / 2) L^T 1.  Requires eta >= gamma *
-    max_i L_ii - c so every gain stays purely dissipative in the bound.  A
-    non-square L, or one with a NaN or infinite entry, raises ValueError.
+    ell* = (c + eta) 1 - (gamma / 2) L^T 1.  Requires c > 0, gamma >= 0, eta > 0
+    and eta >= gamma * max_i L_ii - c, so every gain stays purely dissipative in
+    the bound; anything else, or an L not square and finite, raises ValueError.
     """
     c, gamma = _rates(c, gamma)
-    eta = _finite("eta", eta)
+    eta = _finite("eta", eta, "positive")
     L = _finite_entries(_as_square(L))
     n = L.shape[0]
     floor = _eta_floor(gamma * np.diag(L), c)
@@ -244,7 +240,7 @@ def scaled_state_norm(x, c: float) -> np.ndarray:
     odd last axis, or a c that is not finite and positive, raises ValueError;
     the entries of x are not scanned."""
     x = np.asarray(x, dtype=float)
-    c = _finite("c", c, positive=True)
+    c = _finite("c", c, "positive")
     if x.ndim == 0 or x.shape[-1] % 2 != 0:
         raise ValueError(f"x has shape {x.shape}; its last axis must hold v and w halves")
     n = x.shape[-1] // 2
@@ -484,6 +480,9 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
 
 @dataclass
 class EntrainmentReport:
+    """Entrainment diagnostics; ``gaps[k]``, not in ``repr`` or ``==``, is the scaled
+    gap of the k-th pair in ``combinations`` order at every time (0 if coincident)."""
+
     eta: float
     period: float
     gap_slack: float            # worst gap(t) / (e^{-eta t} gap(0)) over pairs, t > 0
@@ -491,6 +490,7 @@ class EntrainmentReport:
     periodicity_residual: float
     sync_spread: float
     n_pairs: int
+    gaps: np.ndarray = field(repr=False, compare=False)
 
 
 def entrainment_check(config: FhnConfig, trajectories, period: float | None = None,
@@ -501,9 +501,9 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     e^{-eta t} gap(0) and log-linear fitted for an empirical decay rate;
     steady-state periodicity and cross-neuron spread are measured over the
     final period.  Each pair is one pass: its squared gap is the difference
-    of the states, squared, times the weights (1_v, c^2 1_w); its decay rate
-    is the least-squares slope of log gap on the centred times of
-    [fit_start, t_end], where the gap is positive.
+    of the states, squared, times the weights (1_v, c^2 1_w), kept as ``gaps``;
+    its decay rate is the least-squares slope of log gap on the centred times
+    of [fit_start, t_end], where the gap is positive.
 
     Each trajectory's states must have shape (T, 2N), with N the config's
     neuron count, on one uniform time grid.  The horizon must leave room for
@@ -532,11 +532,9 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
         period = getattr(config.input, "period", None)
         if period is None:
             raise ValueError("period not deducible from the input; pass it explicitly")
-    period = _finite("period", period, positive=True)
+    period = _finite("period", period, "positive")
     fit_start = _finite("fit_start", fit_start)
-    transient_periods = _integer("transient_periods", transient_periods)
-    if transient_periods < 0:
-        raise ValueError(f"transient_periods must be nonnegative, got {transient_periods}")
+    transient_periods = _integer("transient_periods", transient_periods, "nonnegative")
     t_end = float(times[-1])
     if t_end < (transient_periods + 3) * period:
         raise ValueError(
@@ -561,10 +559,11 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     gap_slack = 0.0
     decay_rate = math.inf
     d = np.empty(trajs[0].states.shape)  # one buffer for every pair's difference
-    for ti, tj in combinations(trajs, 2):
+    gaps = np.empty((len(trajs) * (len(trajs) - 1) // 2, times.size))
+    for gap, (ti, tj) in zip(gaps, combinations(trajs, 2)):
         np.subtract(ti.states, tj.states, out=d)
         d *= d
-        gap = np.sqrt(d @ weights)
+        np.sqrt(d @ weights, out=gap)
         g0 = float(gap[0])
         if g0 == 0.0:
             continue
@@ -589,7 +588,7 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
         spread = max(spread, float(np.max(v_tail.max(axis=-1) - v_tail.min(axis=-1))))
     return EntrainmentReport(eta=config.eta, period=period, gap_slack=gap_slack,
                              decay_rate=decay_rate, periodicity_residual=periodicity,
-                             sync_spread=spread, n_pairs=len(trajs) * (len(trajs) - 1) // 2)
+                             sync_spread=spread, n_pairs=gaps.shape[0], gaps=gaps)
 
 
 _INPUT_KINDS = {"sinusoid": SinusoidInput, "spike_train": SpikeTrainInput, "zero": ZeroInput}

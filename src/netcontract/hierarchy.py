@@ -26,7 +26,6 @@ from netcontract.metzler import (
     _finite_entries,
     _integer,
     _measure,
-    _seed,
     _vector,
     norm_kind,
 )
@@ -57,7 +56,7 @@ class BlockNorm:
         object.__setattr__(self, "kind", norm_kind(self.kind))
         if self.scaling is not None:
             object.__setattr__(self, "scaling", _vector(
-                "block norm scaling", self.scaling, np.size(self.scaling), positive=True))
+                "block norm scaling", self.scaling, np.size(self.scaling), "positive"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +67,7 @@ class BlockPartition:
     block_norms: tuple[BlockNorm, ...]
 
     def __post_init__(self):
-        sizes = tuple(_integer("block sizes", s, positive=True) for s in self.sizes)
+        sizes = tuple(_integer("block sizes", s, "positive") for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "block_norms", tuple(self.block_norms))
         if not sizes:
@@ -225,7 +224,7 @@ def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("state has non-finite entries")
     m = len(partition.sizes)
-    w = np.ones(m) if weights is None else _vector("weights", weights, m, positive=True)
+    w = np.ones(m) if weights is None else _vector("weights", weights, m, "positive")
     vals = []
     for sl, bn in zip(partition.slices(), partition.block_norms):
         blk = x[..., sl]
@@ -263,8 +262,8 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     t_grid = _vector("t_grid", t_grid, np.size(t_grid))
     if t_grid.size == 0:
         raise ValueError("t_grid must hold at least one time")
-    samples = _integer("samples", samples, positive=True)
-    seed = _seed(seed)
+    samples = _integer("samples", samples, "positive")
+    seed = _integer("seed", seed, "nonnegative")
     dim = lo.shape[0]
     rng = np.random.default_rng(seed)
     # Exact halving, and no overflow of lo + hi near the float range.
@@ -295,7 +294,7 @@ def _unwrap(j_hat) -> np.ndarray:
 
 def _check_hypothesis(J: np.ndarray, eta) -> float:
     """eta as a float, once it is finite and positive and J + eta*I >= 0."""
-    eta = _finite("eta", eta, positive=True)
+    eta = _finite("eta", eta, "positive")
     worst = float(np.min(J + eta * np.eye(J.shape[0])))
     if worst < 0:
         raise HypothesisViolatedError(

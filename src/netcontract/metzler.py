@@ -62,36 +62,32 @@ def _finite_entries(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _finite(name: str, value, positive: bool = False) -> float:
-    """A finite real number (a positive one if asked) as a float: a Python or
-    numpy scalar or a 0-d array; anything else raises ValueError."""
+# The sign rule of each domain, for a number or for every entry of an array.
+_DOMAINS = {"real": lambda x: True,
+            "nonnegative": lambda x: np.all(x >= 0),
+            "positive": lambda x: np.all(x > 0)}
+
+
+def _finite(name: str, value, domain: str = "real") -> float:
+    """A finite number in the domain ("real", "nonnegative" or "positive") as
+    a float: a Python or numpy scalar or a 0-d array; else ValueError."""
     if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
         value = value.item()
     # The bound rejects NaN, infinities and ints beyond the float range.
     if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-            and (value > 0 or not positive)):
-        kind = "positive" if positive else "real"
-        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
+            and _DOMAINS[domain](value)):
+        raise ValueError(f"{name} must be a finite {domain} number, got {value!r}")
     return float(value)
 
 
-def _integer(name: str, value, positive: bool = False) -> int:
-    """An integer (a positive one if asked) as an int; a bool or anything
-    else raises ValueError."""
+def _integer(name: str, value, domain: str = "real") -> int:
+    """An integer of the domain ("real" for any, "nonnegative" or
+    "positive") as an int; a bool or anything else raises ValueError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (positive and value <= 0)):
-        kind = "a positive integer" if positive else "an integer"
+            or not _DOMAINS[domain](value)):
+        kind = "an integer" if domain == "real" else f"a {domain} integer"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(value)
-
-
-def _seed(value) -> int:
-    """A seed for numpy's SeedSequence, a nonnegative integer, as an int;
-    anything else raises ValueError naming ``seed``."""
-    seed = _integer("seed", value)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {value!r}")
-    return seed
 
 
 def _float_array(name: str, value) -> np.ndarray:
@@ -101,13 +97,14 @@ def _float_array(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} must be numbers, got {value!r}") from None
 
 
-def _vector(name: str, value, n: int, positive: bool = False) -> np.ndarray:
-    """value flattened to n finite floats (positive ones if asked)."""
+def _vector(name: str, value, n: int, domain: str = "real") -> np.ndarray:
+    """value flattened to n finite floats in the domain; else ValueError."""
     arr = _float_array(name, value).ravel()
     if arr.shape[0] != n:
         raise ValueError(f"{name} have length {arr.shape[0]}, expected {n}")
-    if not (np.isfinite(arr).all() and (not positive or (arr > 0).all())):
-        raise ValueError(f"{name} must have finite{' positive' if positive else ''} entries")
+    if not (np.isfinite(arr).all() and _DOMAINS[domain](arr)):
+        kind = "" if domain == "real" else f" {domain}"
+        raise ValueError(f"{name} must have finite{kind} entries")
     return arr
 
 
@@ -305,8 +302,8 @@ def _perron(off: scipy.sparse.csr_array, diag: np.ndarray, tol: float,
     denominator is at least delta >= 1, as sigma >= (off v)_i / v_i + c_i
     >= c_i, so v stays positive; the bracket is sound for any v > 0, so the
     iteration decides only how fast it narrows."""
-    tol = _finite("tol", tol, positive=True)
-    max_iter = _integer("max_iter", max_iter, positive=True)
+    tol = _finite("tol", tol, "positive")
+    max_iter = _integer("max_iter", max_iter, "positive")
     starts = np.asarray(starts)
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=diag.size))
     lift = (1.0 + np.maximum.reduceat(np.abs(diag), starts)
@@ -398,7 +395,7 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     """
     M = _finite_entries(_as_square(A))
     if scaling is not None:
-        t = _vector("scaling", scaling, M.shape[0], positive=True)
+        t = _vector("scaling", scaling, M.shape[0], "positive")
         M = M * (t[:, None] / t[None, :])
     return float(_measure(M, norm_kind(norm)))
 

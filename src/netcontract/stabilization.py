@@ -80,7 +80,7 @@ def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, 
     """Gains from the balancing of diag(w) M, for validated irreducible or
     completely reducible M with off-diagonal CSR ``off``; every block is
     driven to the same target."""
-    w = _vector("w", w, M.shape[0], positive=True)
+    w = _vector("w", w, M.shape[0], "positive")
     target = _finite("target", target)
     # diag(w) off: each stored entry scaled by its row's weight.
     weighted = off.copy()
@@ -158,10 +158,10 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     """
     M, cls, off = _metzler_classified(A, "verify_optimality", IRREDUCIBLE)
     n = M.shape[0]
-    w = _vector("w", w, n, positive=True)
+    w = _vector("w", w, n, "positive")
     ell = _vector("ell", ell, n)
     target = _finite("target", target)
-    tol = _finite("tol", tol, positive=True)
+    tol = _finite("tol", tol, "positive")
     # The closed loop C = A - diag(ell) is the CSR off-diagonal part of A and
     # the diagonal vector diag(A) - ell; no n x n working copy is made.
     diag = np.diag(M) - ell

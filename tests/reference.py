@@ -96,12 +96,12 @@ def reference_entrainment_check(config, trajectories, period=None, fit_start=1.0
     times = trajs[0].times
     if period is None:
         period = config.input.period
-    gap_slack, decay_rate, n_pairs = 0.0, math.inf, 0
+    gap_slack, decay_rate, gaps = 0.0, math.inf, []
     fit_mask = times >= fit_start
     for ti, tj in itertools.combinations(trajs, 2):
         gap = scaled_state_norm(ti.states - tj.states, config.c)
+        gaps.append(gap)
         g0 = float(gap[0])
-        n_pairs += 1
         if g0 == 0.0:
             continue
         envelope = g0 * np.exp(-config.eta * times)
@@ -120,4 +120,4 @@ def reference_entrainment_check(config, trajectories, period=None, fit_start=1.0
         spread = max(spread, float(np.max(v_tail.max(axis=-1) - v_tail.min(axis=-1))))
     return EntrainmentReport(eta=config.eta, period=period, gap_slack=gap_slack,
                              decay_rate=decay_rate, periodicity_residual=periodicity,
-                             sync_spread=spread, n_pairs=n_pairs)
+                             sync_spread=spread, n_pairs=len(gaps), gaps=np.array(gaps))

@@ -259,6 +259,17 @@ class TestFhnCommands:
         assert manifest["result"]["passed"] is False
         assert json.loads(out.read_text())["passed"] is False
 
+    @pytest.mark.parametrize("eta", [-1.0, 0.0])
+    def test_certify_rejects_nonpositive_eta(self, capsys, tmp_path, eta):
+        # Exit 0 with passed = true, a certificate for an expanding network.
+        cfg = json.loads(FHN6.read_text())
+        cfg["eta"] = eta
+        bad = tmp_path / "eta.json"
+        bad.write_text(json.dumps(cfg))
+        code, manifest, err = run(capsys, "fhn", "certify", "--config", str(bad))
+        assert code == 1 and manifest is None
+        assert err == f"error: eta must be a finite positive number, got {eta!r}\n"
+
     def test_simulate_deterministic_with_overrides(self, capsys, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         code, manifest, _ = run(capsys, "fhn", "simulate", "--config", str(FHN6),

@@ -740,9 +740,11 @@ class TestEntrainmentCheck:
         ({"fit_start": np.nan}, "^fit_start must be a finite real"),
         ({"fit_start": 5.0}, "fewer than two samples"),
         ({"fit_start": 4.9995}, "fewer than two samples"),
-        ({"transient_periods": -20}, "^transient_periods must be nonnegative"),
-        ({"transient_periods": 1.5}, "^transient_periods must be an integer"),
-        ({"transient_periods": True}, "^transient_periods must be an integer"),
+        ({"transient_periods": -20}, "^transient_periods must be a nonnegative integer, got -20$"),
+        ({"transient_periods": 1.5},
+         r"^transient_periods must be a nonnegative integer, got 1\.5$"),
+        ({"transient_periods": True},
+         "^transient_periods must be a nonnegative integer, got True$"),
     ])
     def test_argument_validation(self, kwargs, message):
         a, b, _ = self._synthetic()  # samples every 1e-3 up to t = 5
@@ -765,6 +767,8 @@ class TestEntrainmentCheck:
         for name in ("eta", "period", "gap_slack", "decay_rate", "periodicity_residual",
                      "sync_spread"):
             assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-12 * abs(getattr(ref, name))
+        assert got.gaps.shape == ref.gaps.shape == (ref.n_pairs, trajs[0].times.size)
+        assert np.max(np.abs(got.gaps - ref.gaps)) <= 1e-12 * np.max(ref.gaps)
 
     @pytest.mark.parametrize("fit_start", [1.0, 4.5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1021,7 +1025,7 @@ class TestConfigImmutable:
         longer = dataclasses.replace(cfg, t_end=50.0)
         assert longer.t_end == 50.0 and cfg.t_end == 25.0
         assert np.array_equal(longer.adjacency, cfg.adjacency)
-        with pytest.raises(ValueError, match="^b must be nonnegative$"):
+        with pytest.raises(ValueError, match=r"^b must be a finite nonnegative number, got -1\.0$"):
             dataclasses.replace(cfg, b=-1.0)
         with pytest.raises(ValueError, match="^gains have length 3, expected 6$"):
             dataclasses.replace(cfg, gains=[1.0] * 3)
@@ -1060,6 +1064,15 @@ class TestNonFiniteNumbers:
         args = {"c": 6.0, "gamma": 0.05, "eta": 0.05, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be"):
             fhn_gains(laplacian(SIX_RING), **args)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_eta_must_be_positive(self, eta):
+        # A nonpositive rate certified an expanding network: eta = -1 gave
+        # passed = True with mu_scaled = +1.
+        with pytest.raises(ValueError, match="^eta must be a finite positive number"):
+            six_config(eta=eta)
+        with pytest.raises(ValueError, match="^eta must be a finite positive number"):
+            fhn_gains(laplacian(SIX_RING), 6.0, 0.05, eta)
 
     @pytest.mark.parametrize("c, gamma, name", [(np.nan, np.inf, "c"), (0.0, 0.05, "c"),
                                                 (6.0, np.inf, "gamma"), (6.0, np.nan, "gamma"),

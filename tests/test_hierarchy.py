@@ -431,7 +431,8 @@ class TestJacobianSupEstimate:
     @pytest.mark.parametrize("seed", [1.5, True, "1", None])
     def test_seed_must_be_integer(self, seed):
         # 1.5 was a TypeError from SeedSequence.
-        with pytest.raises(ValueError, match="^seed must be an integer"):
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, "
+                                             rf"got {re.escape(repr(seed))}$"):
             jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
                                   ([0.0], [1.0]), samples=3, seed=seed)
 

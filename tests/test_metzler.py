@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -25,6 +26,8 @@ from netcontract.metzler import (
     spectral_abscissa,
 )
 from netcontract.balancing import balance, imbalance, potential
+from netcontract.fhn import FhnConfig, Trajectory, entrainment_check
+from netcontract.hierarchy import BlockPartition, jacobian_sup_estimate
 from netcontract.stabilization import (
     marginal_stability_certificate,
     minimal_effort_stabilize,
@@ -441,6 +444,44 @@ def test_bad_iteration_cap_rejected(call, knob, value):
     # NoConvergenceError "within -3 iterations".
     with pytest.raises(ValueError, match=f"^{knob} must be a positive integer"):
         call([[-1.0, 1.0], [4.0, -4.0]], **{knob: value})
+
+
+RING6 = np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1)
+
+
+def _entrainment(transient_periods):
+    times = np.arange(4001) * 1e-3  # four periods of the default sinusoid
+    trajs = [Trajectory(times, np.full((times.size, 12), x), np.zeros(times.size))
+             for x in (0.0, 1.0)]
+    return entrainment_check(FhnConfig(adjacency=RING6), trajs,
+                             transient_periods=transient_periods)
+
+
+def _sup_estimate(**kwargs):
+    return jacobian_sup_estimate(lambda t, x: np.eye(1), BlockPartition.uniform([1]),
+                                 ([0.0], [1.0]), **{"samples": 3, **kwargs})
+
+
+@pytest.mark.parametrize("name, domain, call, ok, bad", [
+    ("b", "nonnegative", lambda v: FhnConfig(adjacency=RING6, b=v), 0.0, -1.0),
+    ("gamma", "nonnegative", lambda v: FhnConfig(adjacency=RING6, gamma=v), 0.0, -1.0),
+    ("seed", "nonnegative", lambda v: FhnConfig(adjacency=RING6, seed=v), 0, -1),
+    ("seed", "nonnegative", lambda v: _sup_estimate(seed=v), 0, -1),
+    ("transient_periods", "nonnegative", _entrainment, 0, -1),
+    ("tol", "positive", lambda v: spectral_abscissa([[-1.0, 1.0], [4.0, -4.0]], tol=v),
+     1e-10, 0.0),
+    ("eta", "positive", lambda v: FhnConfig(adjacency=RING6, eta=v), 0.05, 0.0),
+    ("samples", "positive", lambda v: _sup_estimate(samples=v), 1, 0),
+], ids=["config-b", "config-gamma", "config-seed", "sup-estimate-seed",
+        "transient-periods", "abscissa-tol", "config-eta", "sup-estimate-samples"])
+def test_number_domains(name, domain, call, ok, bad):
+    # Every sign rule is the validators' domain argument, with one message
+    # per kind of number.
+    call(ok)
+    message = (f"{name} must be a {domain} integer, got {bad!r}" if isinstance(bad, int)
+               else f"{name} must be a finite {domain} number, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class TestMatrixMeasure:
