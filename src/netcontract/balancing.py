@@ -6,9 +6,13 @@ Metzler matrices admit a positive diagonal D with D^{-1} A D balanced.  The
 potential f(d) = sum_ij a_ij d_j / d_i is convex in x = log d and its
 minimizers are exactly the balancing scalings, so it is found by damped
 Newton steps on f(e^x) (Kalantari, Khachiyan and Shokoufandeh 1997; Cohen,
-Madry, Tsipras and Vladu 2017), matrix-free over the nonzero entries, which
-it takes from the off-diagonal CSR the public call builds once.  The
-potential is also a cheap independent optimality oracle.
+Madry, Tsipras and Vladu 2017), matrix-free over the positive entries, which
+it takes from the off-diagonal CSR the public call builds once.  Newton's
+Hessian products and row and column sums take one of two forms, chosen by
+the kept entry count alone: np.bincount scatters over (row, column) triplets
+below ``_CSR_MIN_ENTRIES``, and mat-vecs with a CSR array of the scaled
+entries at or above it (see ``balance``).  The potential is also a cheap
+independent optimality oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +46,12 @@ _MAX_HALVINGS = 60
 # Scaling entries are clamped to this range to prevent overflow on badly
 # conditioned input; hitting the clamp is surfaced via BalancingResult.clamped.
 SCALING_CLAMP = (1e-150, 1e150)
+
+# Kept off-diagonal entries from which Newton's products are CSR mat-vecs
+# instead of (row, column) scatters.  Below it the scatters are faster: each
+# iterate's csr_array and each mat-vec with it cost microseconds of scipy
+# overhead, which on small inputs outweighs their cheaper per-entry work.
+_CSR_MIN_ENTRIES = 4096
 
 
 class BalanceConvergenceError(RuntimeError):
@@ -86,7 +96,9 @@ def _pcg(hess, b: np.ndarray, m: np.ndarray, rtol: float, max_iter: int) -> np.n
     positive semidefinite given as the product ``hess``, m its positive
     diagonal and b in its range.  Stops once the preconditioned residual
     r^T m^{-1} r falls to rtol^2 times its start value (r^T r alone would
-    overflow on badly scaled input)."""
+    overflow on badly scaled input), or on breakdown: a direction p with
+    p^T H p <= 0 in floating point, which can occur once the residual is at
+    rounding level, returns the iterate reached so far."""
     x = np.zeros_like(b)
     r = b.copy()
     z = r / m
@@ -97,7 +109,10 @@ def _pcg(hess, b: np.ndarray, m: np.ndarray, rtol: float, max_iter: int) -> np.n
         if rz <= stop:
             break
         q = hess(p)
-        alpha = rz / float(p @ q)
+        pq = float(p @ q)
+        if pq <= 0.0:
+            break
+        alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         z = r / m
@@ -120,6 +135,11 @@ def _newton_balance(off: scipy.sparse.csr_array, starts: np.ndarray, tol: float,
     cols = off.indices[keep]
     log_a = np.log(off.data[keep])
     lo, hi = np.log(SCALING_CLAMP)
+    csr = cols.size >= _CSR_MIN_ENTRIES
+    if csr:
+        # The kept pattern's row pointers: the kept entries before each row.
+        indptr = np.cumsum(np.concatenate(([False], keep)), dtype=cols.dtype)[off.indptr]
+        ones = np.ones(n)
 
     def clamp(x):
         # d is defined up to scale on each block: centre each, then clip.
@@ -127,24 +147,34 @@ def _newton_balance(off: scipy.sparse.csr_array, starts: np.ndarray, tol: float,
         return np.clip(x, lo, hi), bool(np.any(np.abs(x) > hi))
 
     def scaled(x):
-        # W = D^{-1} off D on the nonzeros, its row sums r and column sums c,
-        # f and the worst block's imbalance; f = inf on overflow.
+        # W = D^{-1} off D on the kept entries, its row sums r and column
+        # sums c, the product v -> H v for H = diag(r + c) - W - W^T, the
+        # Hessian of f at x, then f and the worst block's imbalance; f = inf
+        # on overflow.
         with np.errstate(over="ignore"):
             w = np.exp(log_a + x[cols] - x[rows])
             f = float(w.sum())
         if not np.isfinite(f):
-            return w, None, None, np.inf, np.inf
-        r = np.bincount(rows, w, n)
-        c = np.bincount(cols, w, n)
-        return w, r, c, f, _imbalance(r, c, starts)
+            return None, None, None, np.inf, np.inf
+        if csr:
+            W = scipy.sparse.csr_array((w, cols, indptr), shape=(n, n))
+            Wt = W.T
+            r, c = W @ ones, Wt @ ones
+            h = r + c
 
-    def hess(v):
-        # H v for H = diag(r + c) - W - W^T, the Hessian of f at the current x.
-        t = w * (v[rows] - v[cols])
-        return np.bincount(rows, t, n) - np.bincount(cols, t, n)
+            def hess(v):
+                return h * v - W @ v - Wt @ v
+        else:
+            r = np.bincount(rows, w, n)
+            c = np.bincount(cols, w, n)
+
+            def hess(v):
+                t = w * (v[rows] - v[cols])
+                return np.bincount(rows, t, n) - np.bincount(cols, t, n)
+        return hess, r, c, f, _imbalance(r, c, starts)
 
     x, clamped = clamp(x0)
-    w, r, c, f, residual = scaled(x)
+    hess, r, c, f, residual = scaled(x)
     if not np.isfinite(f):
         raise BalanceConvergenceError("the start scaling overflows the matrix", np.inf)
     for step in range(max_steps):
@@ -159,7 +189,7 @@ def _newton_balance(off: scipy.sparse.csr_array, starts: np.ndarray, tol: float,
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             x_new, hit = clamp(x + t * dx)
-            w_new, r_new, c_new, f_new, res_new = scaled(x_new)
+            hess_new, r_new, c_new, f_new, res_new = scaled(x_new)
             # Near the optimum f falls by less than its rounding while the
             # imbalance still falls, so either one decreasing is progress.
             if f_new < f or res_new < residual:
@@ -169,7 +199,7 @@ def _newton_balance(off: scipy.sparse.csr_array, starts: np.ndarray, tol: float,
             raise BalanceConvergenceError(
                 f"balancing stalled at imbalance {residual:.3e} above {tol:g}: "
                 "no step lowers the potential or the imbalance", residual)
-        x, w, r, c, f, residual = x_new, w_new, r_new, c_new, f_new, res_new
+        x, hess, r, c, f, residual = x_new, hess_new, r_new, c_new, f_new, res_new
         clamped |= hit
     raise BalanceConvergenceError(
         f"balancing did not reach imbalance {tol:g} within {max_steps} Newton "
@@ -200,15 +230,25 @@ def balance(A, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS,
     e^(x_j - x_i), x = log d, whose gradient is the column minus the row sums
     of the scaled off-diagonal part.  Each step solves with the Hessian, a
     weighted graph Laplacian, by Jacobi-preconditioned conjugate gradients
-    over the nonzero entries, and is halved until it lowers f or the
+    over the positive entries, and is halved until it lowers f or the
     imbalance.  The nonzeros come from one off-diagonal CSR (about two words
-    per nonzero) and are held as (row, column, log entry) triplets, about
-    three words per nonzero more.  Completely reducible input is balanced
-    by one Newton iteration over all its blocks, each block's leading
-    scaling entry normalized to 1.  Convergence means imbalance <= tol on
-    every block; ``max_sweeps`` caps the Newton steps (``iterations`` counts
-    them), and exceeding it or stalling raises BalanceConvergenceError with
-    the last residual.  Other reducible input raises NotBalancableError.
+    per nonzero); the positive ones are held as (row, column, log entry)
+    triplets, about three words per entry more, and each iterate's scaled
+    entries W = D^{-1} A D as one word per entry.  The products with W take
+    one of two forms, by the kept entry count alone.  Below
+    ``_CSR_MIN_ENTRIES`` (4,096) each Hessian product gathers and scatters
+    over the triplets with np.bincount, with about three words per entry of
+    temporaries.  At or above it the scaled entries are the data of a CSR
+    array on the kept pattern, sharing the triplets' column indices (the row
+    pointers, n + 1 words, are built once per call), and each product is
+    the mat-vecs W v and W^T v, with O(n) temporaries.  The two forms take
+    the same steps to the same d up to rounding.  Completely reducible
+    input is balanced by one Newton iteration over all its blocks, each
+    block's leading scaling entry normalized to 1.  Convergence means
+    imbalance <= tol on every block; ``max_sweeps`` caps the Newton steps
+    (``iterations`` counts them), and exceeding it or stalling raises
+    BalanceConvergenceError with the last residual.  Other reducible input
+    raises NotBalancableError.
     """
     M, cls, off = _metzler_classified(A, "balance", IRREDUCIBLE, COMPLETELY_REDUCIBLE)
     d, iterations, clamped = _balance(off, cls, tol, max_sweeps, d0)

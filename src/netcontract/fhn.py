@@ -627,9 +627,9 @@ def config_from_json(obj: dict) -> FhnConfig:
         raise ValueError(f"unknown config keys {unknown}")
     kwargs = {k: obj[k] for k in names if k in obj}
     adjacency = _float_array("adjacency", obj["adjacency"])
-    n = _integer("N", obj["N"]) if "N" in obj else None
+    n = _integer("N", obj["N"], "positive") if "N" in obj else None
     if adjacency.ndim == 1:
-        if n is None or n <= 0 or adjacency.size != n * n:
+        if n is None or adjacency.size != n * n:
             raise ValueError("flat adjacency requires N with N*N entries")
         adjacency = adjacency.reshape(n, n)
     if n is not None and adjacency.shape[:1] != (n,):

@@ -12,8 +12,8 @@ a-posteriori optimality checker.
 
 Each public call builds the off-diagonal part of its matrix once, as a CSR
 array of about two words per nonzero, and no n x n array after that: the
-balancing triplets, the Perron iteration and every residual mat-vec come
-from it, with the diagonal applied as a vector, so a mat-vec costs
+balancing's Newton products, the Perron iteration and every residual mat-vec
+come from it, with the diagonal applied as a vector, so a mat-vec costs
 O(nnz + n).
 """
 

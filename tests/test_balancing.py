@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import netcontract.balancing
 from netcontract.balancing import (
     BalanceConvergenceError,
     NotBalancableError,
     _balance,
+    _pcg,
     balance,
     balance_tridiagonal,
     imbalance,
     potential,
 )
 from netcontract.metzler import IRREDUCIBLE, Classification, _off_diagonal, classify
+from netcontract.stabilization import stabilize_blocks
 
 from generators import (
     grid_metzler,
@@ -182,6 +185,93 @@ class TestNewtonBalancing:
         A = random_irreducible_metzler(np.random.default_rng(12), 200)
         res = balance(A, tol=1e-12)
         assert res.residual <= 1e-12
+
+
+def _one_by_one_blocks():
+    # Completely reducible: two irreducible blocks and three 1 x 1 blocks,
+    # whose rows of the off-diagonal part are empty, interleaved.
+    rng = np.random.default_rng(13)
+    A = np.zeros((15, 15))
+    A[:6, :6] = random_irreducible_metzler(rng, 6)
+    A[6:12, 6:12] = random_irreducible_metzler(rng, 6)
+    A[12:, 12:] = np.diag([-1.0, 0.5, -2.0])
+    order = rng.permutation(15)
+    return A[np.ix_(order, order)]
+
+
+PINNED_INPUTS = {
+    "random-50": lambda: random_irreducible_metzler(np.random.default_rng(50), 50),
+    "random-120": lambda: random_irreducible_metzler(np.random.default_rng(120), 120, density=0.1),
+    "random-300": lambda: random_irreducible_metzler(np.random.default_rng(300), 300, density=0.05),
+    "ring": lambda: weighted_ring_metzler(np.random.default_rng(14), 200),
+    "grid": lambda: grid_metzler(np.random.default_rng(15), 12),
+    "one-by-one-blocks": _one_by_one_blocks,
+    "extreme-pair": lambda: np.array([[0.0, 1e-13], [1e13, 0.0]]),
+    "chain-1e200": lambda: CHAIN_1E200,
+}
+
+
+class TestProductPaths:
+    """Newton's Hessian products and row and column sums come from (row,
+    column) triplet scatters below _CSR_MIN_ENTRIES kept entries and from CSR
+    mat-vecs at or above it; both must take the same steps to the same d."""
+
+    @staticmethod
+    def _solve(monkeypatch, A, threshold):
+        monkeypatch.setattr(netcontract.balancing, "_CSR_MIN_ENTRIES", threshold)
+        w = np.random.default_rng(16).uniform(0.5, 2.0, A.shape[0])
+        return balance(A, tol=1e-10), stabilize_blocks(A, w, -1.0, tol=1e-10)
+
+    @pytest.mark.parametrize("name", PINNED_INPUTS)
+    def test_paths_agree(self, monkeypatch, name):
+        A = PINNED_INPUTS[name]()
+        triplet, triplet_gains = self._solve(monkeypatch, A, np.iinfo(np.intp).max)
+        csr, csr_gains = self._solve(monkeypatch, A, 0)
+        for a, b in ((triplet, csr), (triplet_gains, csr_gains)):
+            assert (a.iterations, a.clamped) == (b.iterations, b.clamped)
+        assert_allclose(csr.d, triplet.d, rtol=1e-10, atol=0.0)
+        assert_allclose(csr_gains.d_star, triplet_gains.d_star, rtol=1e-10, atol=0.0)
+        assert_allclose(csr_gains.ell_star, triplet_gains.ell_star, rtol=1e-10, atol=1e-10)
+        assert csr.residual <= 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("n, density", [(200, 0.7), (1000, 0.02)])
+    def test_large_inputs_converge_on_csr_path(self, n, density, tol):
+        A = random_irreducible_metzler(np.random.default_rng(n), n, density=density)
+        assert _off_diagonal(A).nnz >= netcontract.balancing._CSR_MIN_ENTRIES
+        res = balance(A, tol=tol)
+        assert res.residual <= tol
+
+    def test_size_rule(self):
+        # The 15 x 15 grid (840 entries) and a dense 8 x 8 stay on the triplet
+        # path, where it is faster; n = 2000 at 1 % density (about 42,000
+        # entries) takes the CSR path.
+        rng = np.random.default_rng(0)
+        small = [grid_metzler(rng, 15), random_irreducible_metzler(rng, 8, density=1.0)]
+        threshold = netcontract.balancing._CSR_MIN_ENTRIES
+        assert all(_off_diagonal(A).nnz < threshold for A in small)
+        A = random_irreducible_metzler(rng, 2000, density=0.01)
+        assert _off_diagonal(A).nnz >= threshold
+
+
+class TestConjugateGradientBreakdown:
+    """A CG direction with p^T H p <= 0 ends the solve with its iterate; the
+    Newton step then converges or raises BalanceConvergenceError."""
+
+    @pytest.mark.parametrize("hess", [np.zeros_like, np.negative], ids=["zero", "negative"])
+    def test_breakdown_returns_iterate(self, hess):
+        b = np.array([1.0, -1.0])
+        x = _pcg(hess, b, np.ones(2), 1e-8, 10)
+        assert np.array_equal(x, np.zeros(2))
+
+    def test_tight_tolerance(self, product_path):
+        A = random_irreducible_metzler(np.random.default_rng(0), 200, density=0.05)
+        try:
+            res = balance(A, tol=1e-13)
+        except BalanceConvergenceError as err:
+            assert 1e-13 < err.residual < 1e-10
+        else:
+            assert res.residual <= 1e-13
 
 
 class TestBalanceTridiagonal:

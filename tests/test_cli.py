@@ -17,6 +17,8 @@ from netcontract.hierarchy import BlockPartition, block_bound_matrix
 from netcontract.matrixio import read_matrix
 from netcontract.metzler import spectral_abscissa
 
+from generators import random_irreducible_metzler
+
 REPO = Path(__file__).resolve().parents[1]
 FHN6 = REPO / "configs" / "fhn6.json"
 
@@ -83,6 +85,19 @@ class TestBalanceCommand:
         assert_allclose(payload["d"], [1.0, 2.0], rtol=1e-10)
         assert_allclose(read_matrix(bal), [[-1.0, 2.0], [2.0, -4.0]], rtol=1e-10)
         assert manifest["result"]["balanced_output"] == str(bal)
+
+    def test_tight_tolerance_ends_cleanly(self, capsys, tmp_path, product_path):
+        # Conjugate gradients can break down once the imbalance is at
+        # rounding level; balancing then converges or fails with one line.
+        mat = tmp_path / "m.csv"
+        A = random_irreducible_metzler(np.random.default_rng(0), 200, density=0.05)
+        np.savetxt(mat, A, delimiter=",")
+        code, manifest, err = run(capsys, "balance", "--input", str(mat), "--tol", "1e-13")
+        if code == 0:
+            assert err == "" and manifest["result"]["residual"] <= 1e-13
+        else:
+            assert code == 1 and manifest is None
+            assert err.startswith("error: balancing stalled") and err.count("\n") == 1
 
 
 class TestStabilizeCommand:
@@ -334,8 +349,10 @@ class TestConfigErrors:
         ({"input": "sinusoid"}, "input must be"),
         ({"input": {"kind": "sinusoid", "params": ["period"]}}, "params must be"),
         ({"N": [6]}, "N must be"),
+        ({"N": 0}, "N must be a positive integer, got 0"),
+        ({"N": -1}, "N must be a positive integer, got -1"),
     ], ids=["c-string", "eta-string", "gains-dict", "input-param-typo", "key-typo",
-            "seed-string", "input-string", "params-list", "n-list"])
+            "seed-string", "input-string", "params-list", "n-list", "n-zero", "n-negative"])
     def test_rejected(self, capsys, tmp_path, edit, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**json.loads(FHN6.read_text()), **edit}))

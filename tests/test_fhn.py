@@ -933,6 +933,12 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="auto"):
             config_from_json({"adjacency": [[0]], "gains": "default"})
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("adjacency", [[0, 1, 1, 0], [[0, 1], [1, 0]]], ids=["flat", "square"])
+    def test_n_must_be_positive(self, n, adjacency):
+        with pytest.raises(ValueError, match=rf"^N must be a positive integer, got {n}$"):
+            config_from_json({"N": n, "adjacency": adjacency})
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys.*gamm"):
             config_from_json({"adjacency": [[0]], "gamm": 5.0})
