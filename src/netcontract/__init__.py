@@ -35,7 +35,6 @@ from netcontract.fhn import (
     laplacian,
     load_config,
     simulate,
-    voltage_jacobian_bound,
 )
 from netcontract.hierarchy import (
     BlockNorm,

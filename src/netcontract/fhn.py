@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -32,9 +32,8 @@ from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_ar
 __all__ = [
     "SinusoidInput", "SpikeTrainInput", "ZeroInput", "FhnConfig", "Trajectory",
     "CertificateCheck", "ContractionCertificate", "EntrainmentReport",
-    "laplacian", "voltage_jacobian_bound", "fhn_gains", "certify",
-    "resolved_gains", "initial_state", "simulate", "closed_loop_jacobian",
-    "scaled_norm_weights", "scaled_state_norm", "entrainment_check",
+    "laplacian", "fhn_gains", "certify", "resolved_gains", "initial_state",
+    "simulate", "closed_loop_jacobian", "scaled_state_norm", "entrainment_check",
     "input_from_json", "input_to_json", "config_from_json", "config_to_json",
     "load_config", "write_trajectory_csv", "DivergedError",
 ]
@@ -133,12 +132,13 @@ class FhnConfig:
         object.__setattr__(self, "adjacency", _read_only(adjacency))
         # laplacian() validates shape and entries; its result is kept
         object.__setattr__(self, "_laplacian", _read_only(laplacian(adjacency)))
-        object.__setattr__(self, "seed", _integer("seed", self.seed, "nonnegative"))
-        _rates(self.c, self.gamma)
-        _finite("a", self.a)
-        _finite("b", self.b, "nonnegative")
-        for name in ("eta", "t_end", "step"):
-            _finite(name, getattr(self, name), "positive")
+        checked = {"seed": _integer("seed", self.seed, "nonnegative"),
+                   **dict(zip(("c", "gamma"), _rates(self.c, self.gamma))),
+                   "a": _finite("a", self.a), "b": _finite("b", self.b, "nonnegative"),
+                   **{name: _finite(name, getattr(self, name), "positive")
+                      for name in ("eta", "t_end", "step")}}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.gains is not None:
             gains = _vector("gains", self.gains, self.n_neurons).copy()
             object.__setattr__(self, "gains", _read_only(gains))
@@ -189,17 +189,6 @@ def _rates(c, gamma) -> tuple[float, float]:
     return _finite("c", c, "positive"), _finite("gamma", gamma, "nonnegative")
 
 
-def voltage_jacobian_bound(L, c: float, gamma: float) -> np.ndarray:
-    """State-independent bound c I - gamma (L + L^T)/2 on the symmetric part
-    of the voltage-voltage Jacobian block (the cubic only helps), from L;
-    ``certify`` measures it, less diag(ell), as the voltage block of the
-    config's K.  L must be a non-empty square matrix of finite entries."""
-    c, gamma = _rates(c, gamma)
-    L = _finite_entries(_as_square(L))
-    n = L.shape[0]
-    return c * np.eye(n) - gamma * (L + L.T) / 2.0
-
-
 def _eta_floor(gamma_deg, c) -> float:
     """gamma * max deg - c, the least eta with the voltage bound + eta*I >= 0."""
     return float(np.max(gamma_deg)) - c
@@ -228,11 +217,9 @@ def resolved_gains(config: FhnConfig) -> np.ndarray:
     return config._gains
 
 
-def scaled_norm_weights(config: FhnConfig) -> np.ndarray:
-    """Diagonal of the scaling T = diag(I, c I) under which the closed loop
-    is measured."""
-    n = config.n_neurons
-    return np.concatenate([np.ones(n), config.c * np.ones(n)])
+def _norm_weights(n: int, c: float) -> np.ndarray:
+    """The weights (1_v, c^2 1_w) of a state's squares in |x|_{2,T}^2."""
+    return np.concatenate([np.ones(n), np.full(n, c * c)])
 
 
 def scaled_state_norm(x, c: float) -> np.ndarray:
@@ -243,10 +230,7 @@ def scaled_state_norm(x, c: float) -> np.ndarray:
     c = _finite("c", c, "positive")
     if x.ndim == 0 or x.shape[-1] % 2 != 0:
         raise ValueError(f"x has shape {x.shape}; its last axis must hold v and w halves")
-    n = x.shape[-1] // 2
-    v = x[..., :n]
-    w = x[..., n:]
-    return np.sqrt((v * v).sum(axis=-1) + (c * c) * (w * w).sum(axis=-1))
+    return np.sqrt((x * x) @ _norm_weights(x.shape[-1] // 2, c))
 
 
 def closed_loop_jacobian(config: FhnConfig, x) -> np.ndarray:
@@ -553,7 +537,7 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     if abs(k * step - period) > 1e-9 * max(1.0, period) or k < 1:
         raise ValueError("period is not an integer multiple of the sampling step")
 
-    weights = np.concatenate([np.ones(n), np.full(n, config.c * config.c)])
+    weights = _norm_weights(n, config.c)
     decay = np.exp(-config.eta * times[1:])
     t_fit = times[fit]
     gap_slack = 0.0
@@ -606,6 +590,9 @@ def input_from_json(obj) -> object:
     unknown = sorted(set(params) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {kind} input params {unknown}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"missing {kind} input params {missing}")
     return cls(**params)
 
 

@@ -11,6 +11,7 @@ STRUCTURAL_ZERO.  A Perron step costs O(nnz + n), not O(n^2).
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -70,12 +71,12 @@ _DOMAINS = {"real": lambda x: True,
 
 def _finite(name: str, value, domain: str = "real") -> float:
     """A finite number in the domain ("real", "nonnegative" or "positive") as
-    a float: a Python or numpy scalar or a 0-d array; else ValueError."""
+    a float: a Python or numpy scalar or a 0-d array, not a bool; else ValueError."""
     if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0:
         value = value.item()
     # The bound rejects NaN, infinities and ints beyond the float range.
-    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-            and _DOMAINS[domain](value)):
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and _DOMAINS[domain](value)):
         raise ValueError(f"{name} must be a finite {domain} number, got {value!r}")
     return float(value)
 
@@ -91,7 +92,17 @@ def _integer(name: str, value, domain: str = "real") -> int:
 
 
 def _float_array(name: str, value) -> np.ndarray:
+    """value as a float array; a string, a bool or other entry that is not a
+    number raises ValueError, where numpy would read "1" and True as 1.0."""
+    # The entries' types, level by level through nested lists, since numpy
+    # makes a bool among numbers a number; a numeric array has none to check.
+    numeric = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+    items = [] if numeric else [value.tolist() if isinstance(value, np.ndarray) else value]
+    while (types := set(map(type, items))) and types <= {list, tuple}:
+        items = list(itertools.chain.from_iterable(items))
     try:
+        if any(issubclass(t, (str, bytes, bool, np.bool_)) for t in types):
+            raise ValueError
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be numbers, got {value!r}") from None

@@ -135,16 +135,16 @@ def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabi
     alpha(A) <= 0 holds iff some d > 0 satisfies A d <= 0; the Perron
     eigenvector (iterated to bracket width ``tol``) is such a d whenever one
     exists.  Only a d with A d <= 0 in every entry is certified; the reported
-    abscissa is the Collatz-Wielandt bound max_i (A d)_i / d_i >= alpha(A).
+    abscissa is the Perron bracket's upper end max_i (A d)_i / d_i >= alpha(A).
     """
     M, cls, off = _metzler_classified(A, "marginal_stability_certificate", IRREDUCIBLE)
     diag = np.diag(M)
-    d = _perron(off, diag, tol, DEFAULT_MAX_ITER).eigenvector
+    pair = _perron(off, diag, tol, DEFAULT_MAX_ITER)
+    d = pair.eigenvector
     slack = off @ d + diag * d
-    abscissa = float(np.max(slack / d))
     if np.all(slack <= 0.0):
-        return MarginalStabilityResult(True, abscissa, d, slack)
-    return MarginalStabilityResult(False, abscissa)
+        return MarginalStabilityResult(True, pair.abscissa, d, slack)
+    return MarginalStabilityResult(False, pair.abscissa)
 
 
 def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> OptimalityReport:
@@ -154,7 +154,7 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     of the closed loop A - diag(ell): (i) diag(w) D^{-1} (A - diag(ell)) D is
     balanced, and (ii) d achieves the target abscissa exactly.  Both residuals
     are reported; `optimal` requires feasibility plus both conditions.
-    Feasibility is judged on the Collatz-Wielandt upper bound from d.
+    Feasibility is judged on ``abscissa``, the Perron bracket's upper end.
     """
     M, cls, off = _metzler_classified(A, "verify_optimality", IRREDUCIBLE)
     n = M.shape[0]
@@ -165,17 +165,17 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     # The closed loop C = A - diag(ell) is the CSR off-diagonal part of A and
     # the diagonal vector diag(A) - ell; no n x n working copy is made.
     diag = np.diag(M) - ell
-    d = _perron(off, diag, DEFAULT_TOL, DEFAULT_MAX_ITER).eigenvector
+    pair = _perron(off, diag, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    d = pair.eigenvector
     od = off @ d
     cd = od + diag * d
-    abscissa = float(np.max(cd / d))
-    feasible = abscissa <= target + tol * (1.0 + abs(target))
+    feasible = pair.abscissa <= target + tol * (1.0 + abs(target))
     # Off-diagonal row and column sums of diag(w) D^{-1} C D from two mat-vecs.
     balanced_residual = _imbalance(w * od / d, d * (off.T @ (w / d)))
     eigen_residual = float(np.max(np.abs(cd - target * d)) / np.max(d))
     return OptimalityReport(
         feasible=bool(feasible),
-        abscissa=abscissa,
+        abscissa=pair.abscissa,
         balanced_ok=bool(balanced_residual <= tol),
         balanced_residual=balanced_residual,
         eigen_ok=bool(eigen_residual <= tol * (1.0 + abs(target))),

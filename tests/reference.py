@@ -70,6 +70,13 @@ def reference_closed_loop_jacobian(config, x):
     return J
 
 
+def reference_voltage_jacobian_bound(L, c, gamma):
+    """The state-independent bound c I - gamma (L + L^T)/2 on the symmetric
+    part of the FitzHugh-Nagumo voltage block, built from L; unvalidated."""
+    L = np.asarray(L, dtype=float)
+    return c * np.eye(L.shape[0]) - gamma * (L + L.T) / 2.0
+
+
 def reference_perron(A, tol=1e-10, max_iter=100_000):
     """The Collatz-Wielandt power iteration with one uniform shift, written
     plainly for an irreducible Metzler matrix: iterate A + (1 + max|a_ii|) I

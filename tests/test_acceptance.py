@@ -17,7 +17,6 @@ from netcontract.fhn import (
     initial_state,
     laplacian,
     simulate,
-    voltage_jacobian_bound,
 )
 from netcontract.hierarchy import (
     BlockPartition,
@@ -38,7 +37,7 @@ from generators import (
     random_metzler,
     random_tridiagonal_metzler,
 )
-from reference import reference_rk4
+from reference import reference_rk4, reference_voltage_jacobian_bound
 
 SIX_RING = np.array([
     [0, 1, 1, 0, 0, 0],
@@ -196,7 +195,7 @@ def test_criterion_6_fhn_gains():
     L = laplacian(SIX_RING)
     ell = fhn_gains(L, c=6.0, gamma=0.05, eta=0.05)
     gain_err = float(np.max(np.abs(ell - [6.025, 6.05, 6.05, 6.05, 6.075, 6.05])))
-    closed = voltage_jacobian_bound(L, 6.0, 0.05) - np.diag(ell)
+    closed = reference_voltage_jacobian_bound(L, 6.0, 0.05) - np.diag(ell)
     abscissa_err = abs(float(np.max(np.linalg.eigvalsh(closed))) + 0.05)
 
     adj = random_connected_adjacency(np.random.default_rng(6), 8)

@@ -351,14 +351,33 @@ class TestConfigErrors:
         ({"N": [6]}, "N must be"),
         ({"N": 0}, "N must be a positive integer, got 0"),
         ({"N": -1}, "N must be a positive integer, got -1"),
+        ({"input": {"kind": "spike_train", "params": {}}},
+         "missing spike_train input params ['times', 'values']"),
+        ({"eta": True}, "eta must be a finite positive number, got True"),
+        ({"adjacency": [["0", "1"], ["1", "0"]], "N": 2}, "adjacency must be numbers"),
+        ({"gains": ["7"] * 6}, "gains must be numbers"),
     ], ids=["c-string", "eta-string", "gains-dict", "input-param-typo", "key-typo",
-            "seed-string", "input-string", "params-list", "n-list", "n-zero", "n-negative"])
+            "seed-string", "input-string", "params-list", "n-list", "n-zero", "n-negative",
+            "spike-train-no-params", "eta-bool", "adjacency-strings", "gains-strings"])
     def test_rejected(self, capsys, tmp_path, edit, named):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**json.loads(FHN6.read_text()), **edit}))
         code, manifest, err = run(capsys, "fhn", "certify", "--config", str(bad))
         assert code == 1 and manifest is None
         assert err.startswith("error:") and named in err
+
+    def test_missing_input_params_through_entry_point(self, tmp_path):
+        # The input's constructor raised a TypeError, which the CLI let
+        # through as a traceback.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(FHN6.read_text()),
+                                   "input": {"kind": "spike_train", "params": {}}}))
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run([sys.executable, "-m", "netcontract", "fhn", "certify",
+                               "--config", str(bad)],
+                              capture_output=True, text=True, cwd=REPO, env=env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: missing spike_train input params ['times', 'values']\n"
 
 
 class TestManifestContract:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +33,8 @@ from netcontract.fhn import (
     laplacian,
     load_config,
     resolved_gains,
-    scaled_norm_weights,
     scaled_state_norm,
     simulate,
-    voltage_jacobian_bound,
     write_trajectory_csv,
 )
 from netcontract.metzler import matrix_measure
@@ -42,7 +42,7 @@ from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import random_connected_adjacency
 from reference import (reference_closed_loop_jacobian, reference_entrainment_check,
-                       reference_rk4)
+                       reference_rk4, reference_voltage_jacobian_bound)
 
 FHN6 = Path(__file__).resolve().parents[1] / "configs" / "fhn6.json"
 
@@ -140,7 +140,7 @@ class TestFhnGains:
     def test_closed_loop_bound_abscissa_hits_minus_eta(self):
         L = laplacian(SIX_RING)
         ell = fhn_gains(L, 6.0, 0.05, 0.05)
-        closed = voltage_jacobian_bound(L, 6.0, 0.05) - np.diag(ell)
+        closed = reference_voltage_jacobian_bound(L, 6.0, 0.05) - np.diag(ell)
         assert_allclose(np.max(np.linalg.eigvalsh(closed)), -0.05, atol=1e-8)
         assert matrix_measure(closed, "two") <= -0.05 + 1e-8
 
@@ -156,7 +156,7 @@ class TestFhnGains:
                                for _ in range(5)]
         for adj in graphs:
             L = laplacian(adj)
-            bound = voltage_jacobian_bound(L, 6.0, 0.05)
+            bound = reference_voltage_jacobian_bound(L, 6.0, 0.05)
             ref = minimal_effort_stabilize(bound, np.ones(L.shape[0]), target=-0.05)
             assert_allclose(fhn_gains(L, 6.0, 0.05, 0.05), ref.ell_star,
                             rtol=1e-9, atol=1e-12)
@@ -213,7 +213,7 @@ class TestCertify:
         # the bound c I - gamma (L + L^T)/2 - diag(ell) from L.
         cfg = CERTIFY_CASES[name]()
         L, ell, eta, c = laplacian(cfg.adjacency), resolved_gains(cfg), cfg.eta, cfg.c
-        bound = voltage_jacobian_bound(L, c, cfg.gamma)
+        bound = reference_voltage_jacobian_bound(L, c, cfg.gamma)
         mu = max(matrix_measure(bound - np.diag(ell), "two"), -cfg.b / c)
         cert = certify(cfg)
         assert cert.mu_scaled == mu and cert.eta_certified == -mu
@@ -254,7 +254,7 @@ class TestClosedLoopJacobian:
         # the certificate promises mu_2 of T J T^{-1} <= -eta at every state
         cfg = six_config(seed=3, t_end=2.0)
         traj = simulate(cfg)
-        t_scale = scaled_norm_weights(cfg)
+        t_scale = np.repeat([1.0, cfg.c], 6)  # T = diag(I, c I)
         for state in traj.states[::200]:
             J = closed_loop_jacobian(cfg, state)
             assert matrix_measure(J, "two", scaling=t_scale) <= -0.05 + 1e-8
@@ -901,6 +901,13 @@ class TestInputs:
             with pytest.raises(ValueError, match=param):
                 SinusoidInput(**{param: value})
 
+    @pytest.mark.parametrize("params, missing", [
+        ({}, "['times', 'values']"), ({"times": [0.0, 1.0]}, "['values']")])
+    def test_missing_params_named(self, params, missing):
+        # The constructor's TypeError escaped the CLI as a traceback.
+        with pytest.raises(ValueError, match=rf"^missing spike_train input params {re.escape(missing)}$"):
+            input_from_json({"kind": "spike_train", "params": params})
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown input kind"):
             input_from_json({"kind": "square_wave"})
@@ -948,10 +955,26 @@ class TestConfigJson:
     @pytest.mark.parametrize("key, value", [
         ("a", None), ("b", "2"), ("c", "6"), ("gamma", [0.1]), ("eta", float("nan")),
         ("t_end", float("inf")), ("step", "0.1"), ("gains", {"a": 1}),
+        # numpy's float cast read "1" and True as 1.0
+        ("a", True), ("b", False), ("c", True), ("gamma", True), ("eta", True),
+        ("t_end", True), ("step", True), ("gains", ["7"]), ("gains", [True]),
+        ("adjacency", [["0"]]), ("adjacency", [[False]]), ("adjacency", [[0, True], [1, 0]]),
     ])
     def test_rejects_non_numbers(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             config_from_json({"adjacency": [[0]], key: value})
+
+    def test_numbers_stored_as_floats(self):
+        # A 0-d array was stored as given, and json.dumps could not write it.
+        cfg = six_config(a=np.array(0), b=2, c=np.float32(6.0), gamma=np.array(0.05),
+                         eta=np.array(0.05), t_end=np.int64(25), step=np.array(1e-3),
+                         seed=np.int64(3))
+        values = [getattr(cfg, k) for k in ("a", "b", "c", "gamma", "eta", "t_end", "step")]
+        assert all(type(v) is float for v in values) and type(cfg.seed) is int
+        assert values == [0.0, 2.0, 6.0, 0.05, 0.05, 25.0, 1e-3]
+        obj = json.loads(json.dumps(config_to_json(cfg)))
+        assert (obj["eta"], obj["seed"]) == (0.05, 3)
+        assert certify(config_from_json(obj)).mu_scaled == certify(six_config(seed=3)).mu_scaled
 
     def test_shipped_config_loads(self):
         cfg = load_config(FHN6)
@@ -1080,28 +1103,17 @@ class TestNonFiniteNumbers:
         with pytest.raises(ValueError, match="^eta must be a finite positive number"):
             fhn_gains(laplacian(SIX_RING), 6.0, 0.05, eta)
 
-    @pytest.mark.parametrize("c, gamma, name", [(np.nan, np.inf, "c"), (0.0, 0.05, "c"),
-                                                (6.0, np.inf, "gamma"), (6.0, np.nan, "gamma"),
-                                                (6.0, -0.1, "gamma")])
-    def test_voltage_jacobian_bound_follows_fhn_gains(self, c, gamma, name):
-        # Unchecked, c = nan and gamma = inf gave an all-NaN bound.
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            voltage_jacobian_bound(np.zeros((2, 2)), c, gamma)
-
     @pytest.mark.parametrize("L, message", [
         ([[np.nan, 0.0], [0.0, 0.0]], "^matrix has non-finite entries$"),
         ([[1.0, -1.0], [np.inf, 0.0]], "^matrix has non-finite entries$"),
         ([[-np.inf, 0.0], [0.0, 1.0]], "^matrix has non-finite entries$"),
         (np.ones((2, 3)), r"^expected a non-empty square matrix, got shape \(2, 3\)$")],
         ids=["nan", "inf", "-inf", "2x3"])
-    @pytest.mark.parametrize("entry", [lambda L: voltage_jacobian_bound(L, 6.0, 0.05),
-                                       lambda L: fhn_gains(L, 6.0, 0.05, 0.05)],
-                             ids=["voltage_jacobian_bound", "fhn_gains"])
-    def test_laplacian_argument_follows_fhn_gains(self, entry, L, message):
-        # Unchecked, a NaN L gave gains [nan, 6.05], an infinite one a bound
-        # with -inf entries, and a 2 x 3 one numpy's broadcast error.
+    def test_laplacian_argument_follows_fhn_gains(self, L, message):
+        # Unchecked, a NaN L gave gains [nan, 6.05] and a 2 x 3 one numpy's
+        # broadcast error.
         with pytest.raises(ValueError, match=message):
-            entry(L)
+            fhn_gains(L, 6.0, 0.05, 0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_config_gains(self, bad):

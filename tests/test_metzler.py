@@ -421,7 +421,7 @@ class TestSpectralAbscissa:
             assert spectral_abscissa(A) <= matrix_measure(A, "inf") + 1e-12
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0, True, np.True_])
 @pytest.mark.parametrize("call", [
     perron_pair, spectral_abscissa, marginal_stability_certificate, balance,
     lambda A, tol: minimal_effort_stabilize(A, np.ones(2), -1.0, tol=tol),
@@ -429,7 +429,8 @@ class TestSpectralAbscissa:
         "balance", "minimal_effort_stabilize"])
 def test_bad_tol_rejected(call, tol):
     # Before any iteration: a tol no width or imbalance can meet would spin
-    # to the step cap, and an infinite one would pass unconverged input.
+    # to the step cap, and an infinite one would pass unconverged input.  A
+    # bool ran at tol 1.
     with pytest.raises(ValueError, match="tol must be a finite positive number"):
         call([[-1.0, 1.0], [4.0, -4.0]], tol=tol)
 

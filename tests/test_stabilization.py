@@ -223,6 +223,15 @@ class TestMarginalStabilityCertificate:
         assert cert.d is None
         assert_allclose(cert.abscissa, 4.0, atol=1e-9)
 
+    @pytest.mark.parametrize("shift", [-0.5, 0.5], ids=["certified", "not-certified"])
+    def test_abscissa_is_the_perron_bracket_end(self, shift):
+        rng = np.random.default_rng(4)
+        A = random_irreducible_metzler(rng, 30)
+        A += (shift - np.max(np.linalg.eigvals(A).real)) * np.eye(30)
+        cert = marginal_stability_certificate(A, tol=1e-9)
+        assert cert.certified == (shift < 0)
+        assert cert.abscissa == perron_pair(A, tol=1e-9).abscissa
+
     def test_iff_characterization(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -260,6 +269,17 @@ class TestVerifyOptimality:
         rep = verify_optimality(FLOW, [1.0, 4.0], -1.0, res.ell_star - [0.1, 0.0])
         assert not rep.feasible
         assert rep.abscissa > -1.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_abscissa_is_the_perron_bracket_end(self, seed):
+        # One writer of the bound: the report keeps _perron's, not a second
+        # max (C d)_i / d_i of the same d.
+        rng = np.random.default_rng(seed)
+        A = random_irreducible_metzler(rng, 40)
+        w = rng.uniform(0.5, 2.0, size=40)
+        ell = minimal_effort_stabilize(A, w, -1.0).ell_star + rng.uniform(-0.1, 0.1, 40)
+        rep = verify_optimality(A, w, -1.0, ell)
+        assert rep.abscissa == perron_pair(A - np.diag(ell)).abscissa
 
 
 def counting(monkeypatch, name):
