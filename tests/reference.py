@@ -98,7 +98,8 @@ def reference_perron(A, tol=1e-10, max_iter=100_000):
 def reference_entrainment_check(config, trajectories, period=None, fit_start=1.0):
     """The entrainment diagnostics pair by pair, written plainly for valid
     arguments: each gap from ``scaled_state_norm``, its envelope
-    g0 e^{-eta t} formed per pair, and the decay rate from ``np.polyfit``."""
+    g0 e^{-eta (t - t0)} formed per pair from the grid's first time t0, and
+    the decay rate from ``np.polyfit``."""
     trajs = list(trajectories)
     times = trajs[0].times
     if period is None:
@@ -111,7 +112,7 @@ def reference_entrainment_check(config, trajectories, period=None, fit_start=1.0
         g0 = float(gap[0])
         if g0 == 0.0:
             continue
-        envelope = g0 * np.exp(-config.eta * times)
+        envelope = g0 * np.exp(-config.eta * (times - times[0]))
         gap_slack = max(gap_slack, float(np.max(gap[1:] / envelope[1:])))
         valid = fit_mask & (gap > 0.0)
         if int(valid.sum()) >= 2:

@@ -19,11 +19,11 @@ from netcontract.stabilization import stabilize_blocks
 
 from generators import (
     grid_metzler,
-    metzler_matrices,
     random_irreducible_metzler,
     random_tridiagonal_metzler,
     weighted_ring_metzler,
 )
+from strategies import metzler_matrices
 
 # A chain whose balancing scaling spans 200 decades.
 CHAIN_1E200 = np.array([[0.0, 1.0, 0.0], [1e200, 0.0, 1.0], [0.0, 1e200, 0.0]])

@@ -404,6 +404,19 @@ class TestSimulate:
         t2 = simulate(cfg)
         assert np.array_equal(t1.states, t2.states)
 
+    def test_step_loop_skips_np_dot(self, monkeypatch):
+        # The loop's products are bound ndarray.dot methods, which skip
+        # np.dot's __array_function__ dispatch; they give the same states.
+        cfg = six_config(seed=5, t_end=0.2)
+        x0 = np.random.default_rng(5).uniform(-4.0, 4.0, size=(2, 12))
+        expected = simulate(cfg, x0=x0).states
+
+        def no_dot(*args, **kwargs):
+            raise AssertionError("np.dot called")
+
+        monkeypatch.setattr(np, "dot", no_dot)
+        assert np.array_equal(simulate(cfg, x0=x0).states, expected)
+
     @pytest.mark.parametrize("x0", [np.zeros(10), 1.0])
     def test_dimension_mismatch(self, x0):
         with pytest.raises(ValueError, match="state dimension"):
@@ -724,6 +737,41 @@ class TestEntrainmentCheck:
         a, b, _ = self._synthetic()
         with pytest.raises(ValueError, match="horizon"):
             entrainment_check(six_config(), [a, b])  # default needs 18 periods
+
+    @staticmethod
+    def _shifted(trajs, t0):
+        return [Trajectory(tr.times + t0, tr.states, tr.input_trace) for tr in trajs]
+
+    def test_envelope_starts_at_the_first_time(self):
+        # The same gaps on a grid from t0 = 10: measured from 0, the
+        # envelope would be e^{10 eta} too small.
+        trajs = self._shifted(self._synthetic(), 10.0)
+        report = entrainment_check(six_config(), trajs, transient_periods=2)
+        assert abs(report.gap_slack - 1.0) < 1e-9
+        assert abs(report.decay_rate - 0.05) < 1e-8
+
+    def test_horizon_is_the_span_from_the_first_time(self):
+        # t_end = 105 passes 18 periods, but the grid spans only 5
+        a, b = self._shifted(self._synthetic()[:2], 100.0)
+        with pytest.raises(ValueError, match="horizon 5 too short"):
+            entrainment_check(six_config(), [a, b])
+        assert entrainment_check(six_config(), [a, b], transient_periods=2).n_pairs == 1
+
+    def test_sliced_simulation_window(self):
+        # A window of a run, from t0 = 4, against its own envelope: the same
+        # gaps as the full run's from t0 on, and a slack that stays near 1.
+        cfg = six_config(t_end=9.0)
+        x0 = np.stack([initial_state(cfg, np.random.default_rng(s)) for s in (0, 1, 2)])
+        traj = simulate(cfg, x0=x0)
+        k0 = int(np.searchsorted(traj.times, 4.0))
+        assert traj.times[k0] == 4.0
+        full, window = ([Trajectory(traj.times[k:], traj.states[k:, i], traj.input_trace[k:])
+                         for i in range(3)] for k in (0, k0))
+        whole = entrainment_check(cfg, full, transient_periods=2)
+        report = entrainment_check(cfg, window, transient_periods=2)
+        assert np.array_equal(report.gaps, whole.gaps[:, k0:])
+        assert report.gap_slack <= 1.05
+        self._assert_matches_reference(cfg, window)
 
     def test_grid_mismatch(self):
         a, b, _ = self._synthetic()

@@ -22,8 +22,9 @@ from netcontract.hierarchy import (
 from netcontract.metzler import matrix_measure, perron_pair, spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
-from generators import metzler_matrices, random_tridiagonal_metzler
+from generators import random_tridiagonal_metzler
 from reference import reference_block_bound_matrix, reference_rk4
+from strategies import metzler_matrices
 
 WORKED_J = np.array([[1.0, 2.0, 0.0], [8.0, 1.0, 3.0], [0.0, 12.0, 1.0]])
 

@@ -35,7 +35,8 @@ from netcontract.stabilization import (
     verify_optimality,
 )
 
-from generators import metzler_matrices, random_irreducible_metzler, random_metzler
+from generators import random_irreducible_metzler, random_metzler
+from strategies import metzler_matrices
 
 
 class TestClassify:
