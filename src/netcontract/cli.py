@@ -250,7 +250,8 @@ def dispatch(argv) -> int:
     start = time.perf_counter()
     try:
         inputs, params, result, code = args.handler(args)
-    except (ValueError, RuntimeError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, KeyError, MemoryError,
+            json.JSONDecodeError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         print(f"error: {detail}", file=sys.stderr)
         return 1

@@ -344,8 +344,9 @@ class Trajectory:
         return self.states[..., self.n_neurons:]
 
 
-# Steps between finiteness checks of the stored states.
-_BLOCK = 256
+# Steps per chunk of simulate's step buffer, one slot each; the states are
+# copied out and checked for non-finite entries once per chunk.
+_CHUNK = 32
 
 
 class DivergedError(RuntimeError):
@@ -370,7 +371,10 @@ def _grid(t_end, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _check_finite(times, out, first: int, stop: int) -> None:
     """Raise DivergedError at the first of the states out[first:stop] with a
     non-finite entry, if any.  A non-finite entry stays non-finite in every
-    later state, so checking once per block of steps finds the first one."""
+    later state, so checking once per chunk of steps finds the first one,
+    and a finite last state clears the whole chunk."""
+    if np.isfinite(out[stop - 1]).all():
+        return
     finite = np.isfinite(out[first:stop]).all(axis=tuple(range(1, out.ndim)))
     if not finite.all():
         raise DivergedError(times[first + int(np.argmin(finite))])
@@ -387,15 +391,25 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
     product of K with z_i, and two multiplies for the cube; the two terms
     of k_i are never summed on their own.  Instead the next stage input
     x + a_i k_i is one product of a coefficient row with the stacked
-    blocks (K z_1, ..., K z_4, v_1^3, ..., v_4^3, x), and the new state adds
-    one such product with the RK4 weights (h/6, h/3, h/3, h/6).  The four
-    stages are written out over named views of one buffer, and a step makes
-    19 numpy calls: 8 multiplies, 8 products, one add and two copies.  The
+    blocks (K z_1, ..., K z_4, v_1^3, ..., v_4^3, x), and the new state
+    x + sum w_i k_i is one product of the weights (h/6, h/3, h/3, h/6, their
+    -c/3 multiples, 1) with the same nine blocks.
+
+    The steps run in chunks of C = 32 steps over a buffer of C + 1 slots of
+    (22N + 6, batch) floats, (C + 1) (22N + 6) batch 8 bytes in all.  A slot
+    holds its step's nine blocks, x's rows r and 1 (so that x's block
+    begins z_1), then the rows of z_2 and of z_4.  The weights product
+    writes the new state straight into the x block of the next slot, and a
+    step makes 16 numpy calls: 8 multiplies, 4 products with K, 3
+    coefficient-row products and the weights product.
+    Once per chunk, three strided writes fill every slot's input rows r,
+    one transposed copy stores the chunk's states, the stored states are
+    checked for NaN and inf, and the last state moves to slot 0.  The
     products are bound ``ndarray.dot`` methods with a positional out: they
     compute what ``np.dot`` does, bit for bit, without its
     ``__array_function__`` dispatch, which adds a third or more to each
-    product at the benchmark's size (N = 30, batch 4).  The input
-    is evaluated once, vectorised, at the stage times of every step.  A
+    product at the benchmark's size (N = 30, batch 4).  The input is
+    evaluated once, vectorised, at the stage times of every step.  A
     non-finite x0 raises ValueError, and overflow raises DivergedError with
     the time of the first non-finite state.  For another horizon or step,
     pass ``dataclasses.replace(config, t_end=..., step=...)``.
@@ -412,25 +426,28 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
         raise ValueError("x0 has non-finite entries")
     r = np.asarray(config.input(np.concatenate([times, mid, end])), dtype=float)
     r_times, r_mid, r_end = np.split(r, [times.size, times.size + mid.size])
-    # r at each step's start, midpoint and end, shaped to broadcast over the batch
-    stage_r = np.stack([r_times[:-1], r_mid, r_end], axis=1)[:, :, None]
+    # r at each step's start, midpoint and end, as columns that broadcast over the batch
+    stage_r = (r_times[:-1, None], r_mid[:, None], r_end[:, None])
 
     out = np.empty(times.shape + x0.shape)
     out[0] = x0
     batch = math.prod(x0.shape[:-1])
     flat = out.reshape(times.size, batch, 2 * n)
-    # buf[0] holds nine contiguous (2N, batch) blocks, K z_1, ..., K z_4, the
-    # cubes (v_i^3, 0) and x, then the rows r and 1, so that its last 2N + 2
-    # rows are stage 1's input.  buf[1] and buf[2] use only those last rows,
-    # as the inputs of the stages at the midpoint (2 and 3) and at the end (4)
-    # of the step.  The zeros stay in each cube's w half, and make 0 times a
-    # block not yet computed 0 on the first step.
+    # Slot j serves the chunk's j-th step.  Its rows are nine contiguous
+    # (2N, batch) blocks, K z_1, ..., K z_4, the cubes (v_i^3, 0) and x, then
+    # the rows r and 1, so that rows 8q to 9q + 2 are stage 1's input z_1;
+    # then z_2 (2N state rows, r_mid, 1) and z_4 (2N state rows, r_end, 1).
+    # The step's new state goes to the x block of slot j + 1.  The zeros stay
+    # in each cube's w half, and make 0 times a block not yet computed 0 on
+    # the first chunk; later, such a block holds a finite value from the
+    # chunk before.
     q = 2 * n
-    buf = np.zeros((3, 9 * q + 2, batch))
-    buf[:, -1] = 1.0
-    buf[0, 8 * q:9 * q] = flat[0].T
-    buf_r, x = buf[:, -2], buf[0, 8 * q:9 * q]
-    blocks = buf[0, :9 * q].reshape(9, -1)
+    steps = min(_CHUNK, times.size - 1)
+    chunk = np.zeros((steps + 1, 11 * q + 6, batch))
+    chunk[:, [9 * q + 1, 10 * q + 3, 11 * q + 5]] = 1.0
+    r_rows = (chunk[:steps, 9 * q], chunk[:steps, 10 * q + 2], chunk[:steps, 11 * q + 4])
+    xs = chunk[:, 8 * q:9 * q]
+    xs[0] = flat[0].T
     c3 = -config.c / 3.0
     a = np.array([h / 2.0, h / 2.0, h])  # stage i + 1's input is x + a_i k_i
     w = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])  # the new state is x + sum w_i k_i
@@ -438,27 +455,31 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
     coef[:, 8] = 1.0
     coef[range(3), range(3)] = a
     coef[range(3), range(4, 7)] = c3 * a
-    weights = np.concatenate([w, c3 * w])
-    acc = np.empty(q * batch)
-    # Stage i reads its input z_i, whose first n rows are v_i, and writes
-    # K z_i into kz_i and v_i^3 into cube_i.  Stages 2 and 3 share the input
-    # z2, as stage 2 writes stage 3's state rows over its own once K z_2 is
-    # taken; y2 and y4 are the state rows of z2 and z4.
-    z1, z2, z4 = buf[0, 8 * q:], buf[1, 8 * q:], buf[2, 8 * q:]
-    v1, v2, v4 = z1[:n], z2[:n], z4[:n]
-    y2, y4 = buf[1, 8 * q:9 * q].reshape(-1), buf[2, 8 * q:9 * q].reshape(-1)
-    kz1, kz2, kz3, kz4 = (buf[0, i * q:(i + 1) * q] for i in range(4))
-    cube1, cube2, cube3, cube4 = (buf[0, i * q:i * q + n] for i in range(4, 8))
+    weights = np.concatenate([w, c3 * w, [1.0]])
+
+    def slot_views(slot, x_next):
+        # Stage i reads its input z_i, whose first n rows are v_i, and writes
+        # K z_i into kz_i and v_i^3 into cube_i.  Stages 2 and 3 share the
+        # input z2, as stage 2 writes stage 3's state rows over its own once
+        # K z_2 is taken; y2 and y4 are the state rows of z2 and z4.
+        z1, z2, z4 = slot[8 * q:9 * q + 2], slot[9 * q + 2:10 * q + 4], slot[10 * q + 4:]
+        return (slot[:9 * q].reshape(9, q * batch), z1, z2, z4, z1[:n], z2[:n], z4[:n],
+                z2[:q].reshape(-1), z4[:q].reshape(-1),
+                *(slot[i * q:(i + 1) * q] for i in range(4)),
+                *(slot[i * q:i * q + n] for i in range(4, 8)), x_next.reshape(-1))
+
+    slots = [slot_views(chunk[j], xs[j + 1]) for j in range(steps)]
     kdot = config._operator.dot
     dot1, dot2, dot3 = (row.dot for row in coef)
-    wdot, first8 = weights.dot, blocks[:8]
-    x_flat, x_t = x.reshape(-1), x.T
-    multiply, add = np.multiply, np.add
+    wdot, multiply = weights.dot, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, times.size, _BLOCK):
-            stop = min(first + _BLOCK, times.size)
-            for s in range(first, stop):
-                buf_r[...] = stage_r[s - 1]
+        for first in range(1, times.size, steps):
+            stop = min(first + steps, times.size)
+            m = stop - first
+            for row, col in zip(r_rows, stage_r):
+                row[:m] = col[first - 1:stop - 1]
+            for (blocks, z1, z2, z4, v1, v2, v4, y2, y4, kz1, kz2, kz3, kz4,
+                 cube1, cube2, cube3, cube4, x_next) in slots[:m]:
                 multiply(v1, v1, cube1)
                 multiply(cube1, v1, cube1)
                 kdot(z1, kz1)
@@ -474,11 +495,15 @@ def simulate(config: FhnConfig, x0=None) -> Trajectory:
                 multiply(v4, v4, cube4)
                 multiply(cube4, v4, cube4)
                 kdot(z4, kz4)
-                wdot(first8, acc)
-                add(x_flat, acc, x_flat)
-                flat[s] = x_t
+                wdot(blocks, x_next)
+            flat[first:stop] = xs[1:m + 1].transpose(0, 2, 1)
             _check_finite(times, out, first, stop)
+            xs[0] = xs[m]
     return Trajectory(times=times, states=out, input_trace=r[:times.size])
+
+
+# Times per block of entrainment_check's gap pass.
+_GAP_ROWS = 512
 
 
 @dataclass
@@ -503,11 +528,13 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     Pairwise scaled gaps are compared against the certified envelope
     e^{-eta (t - t0)} gap(t0), with t0 the grid's first time, and log-linear
     fitted for an empirical decay rate; steady-state periodicity and
-    cross-neuron spread are measured over the final period.  Each pair is
-    one pass: its squared gap is the difference of the states, squared,
-    times the weights (1_v, c^2 1_w), kept as ``gaps``; its decay rate is
-    the least-squares slope of log gap on the centred times of
-    [fit_start, t_end], where the gap is positive.
+    cross-neuron spread are measured over the final period.  A pair's
+    squared gap is the difference of the states, squared, times the
+    weights (1_v, c^2 1_w), kept as ``gaps``; the gaps are filled in blocks
+    of 512 times, every pair inside each block, through one (512, 2N)
+    difference buffer.  A pair's decay rate is the least-squares slope of
+    log gap on the centred times of [fit_start, t_end], where the gap is
+    positive.
 
     Each trajectory's states must have shape (T, 2N), with N the config's
     neuron count, on one uniform time grid from t0 to t_end.  The span
@@ -563,12 +590,19 @@ def entrainment_check(config: FhnConfig, trajectories, period: float | None = No
     t_fit = times[fit]
     gap_slack = 0.0
     decay_rate = math.inf
-    d = np.empty(trajs[0].states.shape)  # one buffer for every pair's difference
-    gaps = np.empty((len(trajs) * (len(trajs) - 1) // 2, times.size))
-    for gap, (ti, tj) in zip(gaps, combinations(trajs, 2)):
-        np.subtract(ti.states, tj.states, out=d)
-        d *= d
-        np.sqrt(d @ weights, out=gap)
+    pairs = list(combinations([tr.states for tr in trajs], 2))
+    gaps = np.empty((len(pairs), times.size))
+    # Blocks of _GAP_ROWS times, every pair inside each, so that one small
+    # difference buffer serves all and the states stay in cache across pairs.
+    d = np.empty((min(_GAP_ROWS, times.size), 2 * n))
+    for lo in range(0, times.size, _GAP_ROWS):
+        hi = min(lo + _GAP_ROWS, times.size)
+        db = d[:hi - lo]
+        for gap, (si, sj) in zip(gaps[:, lo:hi], pairs):
+            np.subtract(si[lo:hi], sj[lo:hi], out=db)
+            db *= db
+            np.sqrt(db @ weights, out=gap)
+    for gap in gaps:
         g0 = float(gap[0])
         if g0 == 0.0:
             continue

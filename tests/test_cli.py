@@ -315,6 +315,14 @@ class TestFhnCommands:
         assert code == 1 and manifest is None
         assert err.startswith("error: seed must be a nonnegative integer, got -1")
 
+    def test_unallocatable_horizon_is_an_error_line(self, capsys):
+        # 1e18 steps need 6.94 EiB for the step times alone, beyond any 64-bit
+        # address space, so the first allocation fails at once.
+        code, manifest, err = run(capsys, "fhn", "simulate", "--config", str(FHN6),
+                                  "--t-end", "1e15", "--step", "1e-3")
+        assert code == 1 and manifest is None
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_simulate_rejects_zero_period(self, capsys, tmp_path):
         cfg = json.loads(FHN6.read_text())
         cfg["input"] = {"kind": "sinusoid", "params": {"period": 0}}

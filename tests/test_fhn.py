@@ -11,8 +11,8 @@ from pathlib import Path
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
-    _BLOCK,
     _CERT_SLACK,
+    _CHUNK,
     _check_finite,
     _grid,
     DivergedError,
@@ -573,7 +573,9 @@ class TestSimulateMatchesReference:
     @staticmethod
     def _assert_close(traj, times, states):
         assert np.array_equal(traj.times, times)
-        assert np.max(np.abs(traj.states - states)) <= 1e-13 * np.max(np.abs(states))
+        assert traj.states.shape == states.shape
+        assert (np.max(np.abs(traj.states - states), initial=0.0)
+                <= 1e-13 * np.max(np.abs(states), initial=0.0))
 
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("kind", sorted(INPUTS))
@@ -604,9 +606,22 @@ class TestSimulateMatchesReference:
         assert traj.states.shape == (301, 2, 3, 12)
         self._assert_close(traj, *reference_simulate(cfg, x0))
 
+    # Steps run in chunks of 32: a horizon of one step, one just short of a
+    # chunk, one chunk, one step into the next chunk, and two chunks and one
+    # step; an empty batch still returns its (T, 0, 2N) states.
+    @pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 3)], ids=["unbatched", "empty", "2x3"])
+    def test_chunk_edges(self, n_steps, shape):
+        assert _CHUNK == 32
+        cfg = six_config(a=0.3, gamma=0.2, input=SPIKES, t_end=n_steps * 1e-3)
+        x0 = np.random.default_rng(n_steps).uniform(-4.0, 4.0, size=shape + (12,))
+        traj = simulate(cfg, x0=x0)
+        assert traj.states.shape == (n_steps + 1,) + shape + (12,)
+        self._assert_close(traj, *reference_simulate(cfg, x0))
+
     def test_entrain_shape(self):
         # The benchmark's shape: N = 30, a batch of 4, over 600 steps, so that
-        # two full blocks of finiteness checks and a partial one run.
+        # 18 full chunks and a partial one of 24 steps run.
         rng = np.random.default_rng(12)
         cfg = FhnConfig(adjacency=random_connected_adjacency(rng, 30), a=0.3, t_end=0.6)
         x0 = rng.uniform(-4.0, 4.0, size=(4, 60))
@@ -614,13 +629,16 @@ class TestSimulateMatchesReference:
         assert traj.states.shape == (601, 4, 60)
         self._assert_close(traj, *reference_simulate(cfg, x0))
 
-    @pytest.mark.parametrize("onset", [0.1, 0.3, 0.55])
-    def test_divergence_time_matches_reference(self, onset):
-        # The input jumps to 1e300 just after t = onset, so v^3 overflows on
-        # the step that ends at onset + 0.001: step 101 is in the first block
-        # of finiteness checks, step 301 in the second, full one, and step
-        # 551 in the final partial block, which starts at step 2 * 256 + 1.
-        assert _BLOCK == 256
+    # Of the 600 steps, chunks of 32 start at steps 1, 33, ..., 577, and the
+    # last one is partial: it ends at step 600.
+    @pytest.mark.parametrize("blowup_step", [1, 32, 33, 590],
+                             ids=["first-step", "chunk-end", "next-chunk", "partial-chunk"])
+    def test_divergence_time_matches_reference(self, blowup_step):
+        # The input jumps to 1e300 just after the start of step
+        # `blowup_step`, so v^3 overflows at its midpoint stage and the first
+        # non-finite state is the one at the step's end.
+        assert _CHUNK == 32
+        onset = (blowup_step - 1) * 1e-3 + 1e-5
         spike = SpikeTrainInput([0.0, onset, onset + 1e-4, 1.0], [0.0, 0.0, 1e300, 0.0])
         cfg = six_config(input=spike, t_end=0.6)
         x0 = np.random.default_rng(13).uniform(-4.0, 4.0, size=(2, 12))
@@ -629,7 +647,7 @@ class TestSimulateMatchesReference:
         with pytest.raises(DivergedError) as got:
             simulate(cfg, x0=x0)
         assert got.value.time == ref.value.time
-        assert got.value.time == pytest.approx(onset + 0.001)
+        assert got.value.time == pytest.approx(blowup_step * 1e-3)
 
     @pytest.mark.parametrize("w", [1e103, 1e200])
     def test_overflowing_recovery_state_diverges_on_first_step(self, w):
@@ -829,6 +847,28 @@ class TestEntrainmentCheck:
         traj = simulate(cfg, x0=x0)
         trajs = [Trajectory(traj.times, traj.states[:, i], traj.input_trace) for i in range(4)]
         self._assert_matches_reference(cfg, trajs, fit_start)
+
+    # The gaps are filled in blocks of 512 times: less than one block, one
+    # block, one block and one time, and two blocks and one time.
+    @pytest.mark.parametrize("n_samples", [100, 512, 513, 1025])
+    def test_gap_blocks(self, monkeypatch, n_samples):
+        rng = np.random.default_rng(n_samples)
+        times = np.arange(n_samples) * 1e-2
+        decay = np.exp(-times)[:, None]
+        trajs = [Trajectory(times, rng.uniform(-4.0, 4.0, size=(n_samples, 12)) * decay,
+                            np.zeros(n_samples)) for _ in range(3)]
+        kwargs = {"period": 0.05, "fit_start": 0.0, "transient_periods": 0}
+        got = entrainment_check(six_config(), trajs, **kwargs)
+        w = np.concatenate([np.ones(6), np.full(6, 36.0)])
+        unblocked = [np.sqrt(((ti.states - tj.states) ** 2) @ w)
+                     for ti, tj in [(trajs[0], trajs[1]), (trajs[0], trajs[2]),
+                                    (trajs[1], trajs[2])]]
+        assert np.array_equal(got.gaps, np.array(unblocked))
+        # One block for the whole grid is the unblocked pass.
+        monkeypatch.setattr(netcontract.fhn, "_GAP_ROWS", n_samples)
+        whole = entrainment_check(six_config(), trajs, **kwargs)
+        assert np.array_equal(got.gaps, whole.gaps)
+        assert dataclasses.astuple(got)[:-1] == dataclasses.astuple(whole)[:-1]
 
     def test_zero_gaps_left_out_of_the_fit(self):
         a, b, _ = self._synthetic()
