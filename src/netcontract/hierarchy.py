@@ -17,19 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netcontract.balancing import _tridiagonal_bands
+from netcontract.balancing import MAX_SWEEPS, _tridiagonal_bands
 from netcontract.metzler import (
     DEFAULT_TOL,
+    IRREDUCIBLE,
     MetzlerMatrix,
     _as_square,
     _finite,
     _finite_entries,
+    _halves,
     _integer,
     _measure,
+    _metzler_classified,
     _vector,
     norm_kind,
 )
-from netcontract.stabilization import minimal_effort_stabilize
+from netcontract.stabilization import _stabilize
 
 # Corner enumeration of a box is exponential in the dimension; beyond this
 # many corners only the random samples and the center are used.
@@ -127,14 +130,30 @@ _ORD = {"one": 1, "two": 2, "inf": np.inf}
 _DUAL = {"one": "inf", "inf": "one", "two": "two"}
 
 
+def _norm(blk: np.ndarray, kind: str) -> np.ndarray:
+    """Induced norm, kind canonical, of every matrix in a stack (..., a, b).
+
+    The 2-norm of a 2x2 matrix is the closed form
+    hypot(a + d, c - b) + hypot(a - d, b + c) of its largest singular value,
+    on its halved entries a, b, c, d, so no finite result overflows; every
+    other case is ``np.linalg.norm`` over the last two axes.
+    """
+    if kind == "two" and blk.shape[-2:] == (2, 2):
+        a, b, c, d, spread = _halves(blk)
+        return np.hypot(a + d, c - b) + spread
+    return np.linalg.norm(blk, _ORD[kind], axis=(-2, -1))
+
+
 def operator_norm(M, out_kind="two", in_kind=None) -> float:
     """Induced norm of a (possibly rectangular) matrix between 1/2/inf spaces.
 
     Exact formulas: domain norm 1 -> max over columns of the codomain norm;
     codomain norm inf -> max over rows of the domain's dual norm; (2, 2) ->
-    largest singular value.  The remaining pairs (inf->1, inf->2, 2->1) have
-    no tractable exact formula and raise ValueError, as do a NaN or infinite
-    entry and input that is not a non-empty 2-D matrix.
+    largest singular value, from ``_norm``, so a 2x2 matrix takes the closed
+    form and matches its entry in ``block_bound_matrix`` bit for bit.  The
+    remaining pairs (inf->1, inf->2, 2->1) have no tractable exact formula
+    and raise ValueError, as do a NaN or infinite entry and input that is not
+    a non-empty 2-D matrix.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
@@ -147,7 +166,7 @@ def operator_norm(M, out_kind="two", in_kind=None) -> float:
     if out_kind == "inf":
         return float(np.max(np.linalg.norm(M, _ORD[_DUAL[in_kind]], axis=-1)))
     if in_kind == "two" and out_kind == "two":
-        return float(np.linalg.norm(M, 2))
+        return float(_norm(M, "two"))
     raise ValueError(
         f"no tractable exact formula for the {in_kind} -> {out_kind} induced norm")
 
@@ -163,8 +182,9 @@ def block_bound_matrix(A, partition: BlockPartition) -> np.ndarray:
     two kinds always couple in a direction ``operator_norm`` cannot take.
 
     Block pairs are grouped by (diagonal or coupling, rows, columns), and
-    each group is bounded with one ``_measure`` or ``np.linalg.norm`` call on
-    a stacked array.  A block equal in every matrix of the stack, such as a
+    each group is bounded with one ``_measure`` or ``_norm`` call on a stacked
+    array; in the 2-norm, 2x2 blocks take closed forms there and larger ones
+    LAPACK.  A block equal in every matrix of the stack, such as a
     linear coupling, is bounded once, from the first matrix.  A NaN or
     infinite entry raises ValueError.
     """
@@ -205,8 +225,7 @@ def block_bound_matrix(A, partition: BlockPartition) -> np.ndarray:
                 if quotient is not None:
                     blk *= quotient[index[pick]]
                 B[:, r[pick], c[pick]] = (
-                    _measure(blk, kind) if r[0] == c[0] else
-                    np.linalg.norm(blk, _ORD[kind], axis=(-2, -1)))
+                    _measure(blk, kind) if r[0] == c[0] else _norm(blk, kind))
     return B.reshape(M.shape[:-2] + (m, m))
 
 
@@ -248,7 +267,8 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     block equal in every Jacobian of a stack, such as a linear coupling,
     bounded once.  The result is an underestimate of the true supremum and
     is flagged ``"sampled"``.  Non-finite domain bounds, a domain whose
-    width hi - lo overflows, an empty or non-finite ``t_grid``, a
+    width hi - lo overflows, a domain whose dimension is not the
+    partition's, an empty or non-finite ``t_grid``, a
     ``samples`` that is not a positive integer, a ``seed`` that is not a
     nonnegative integer, and a NaN or infinite Jacobian entry raise ValueError.
     """
@@ -265,6 +285,8 @@ def jacobian_sup_estimate(sampler, partition: BlockPartition, domain,
     samples = _integer("samples", samples, "positive")
     seed = _integer("seed", seed, "nonnegative")
     dim = lo.shape[0]
+    if dim != partition.total:
+        raise ValueError(f"domain has dimension {dim}, partition covers {partition.total}")
     rng = np.random.default_rng(seed)
     # Exact halving, and no overflow of lo + hi near the float range.
     points = [rng.uniform(lo, hi, size=(samples, dim)), lo / 2.0 + hi / 2.0]
@@ -307,13 +329,15 @@ def synthesize_gains(j_hat, w, eta: float, tol: float = DEFAULT_TOL) -> GainSynt
     """Cheapest per-block gains making the reduced bound contract at rate eta.
 
     Requires J_hat irreducible Metzler and J_hat + eta*I >= 0 elementwise
-    (ensuring the gains come out positive); delegates to the minimum-effort
-    stabilizer with target -eta.
+    (ensuring the gains come out positive); runs the minimum-effort
+    stabilizer's core with target -eta, so a bound of another kind raises
+    NonIrreducibleError naming synthesize_gains.
     """
     J = _unwrap(j_hat)
     eta = _check_hypothesis(J, eta)
-    res = minimal_effort_stabilize(j_hat if isinstance(j_hat, MetzlerMatrix) else J,
-                                   w, target=-eta, tol=tol)
+    M, cls, off = _metzler_classified(j_hat if isinstance(j_hat, MetzlerMatrix) else J,
+                                      "synthesize_gains", IRREDUCIBLE)
+    res = _stabilize(M, cls, off, w, -eta, tol, MAX_SWEEPS, None)
     return GainSynthesisResult(v_star=res.ell_star, rate=eta,
                                cost=res.cost, closed_loop_abscissa=res.achieved)
 

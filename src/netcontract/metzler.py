@@ -411,10 +411,30 @@ def matrix_measure(A, norm="two", scaling=None) -> float:
     return float(_measure(M, norm_kind(norm)))
 
 
+def _halves(M: np.ndarray) -> tuple:
+    """Halved entries a, b, c, d of each matrix [[a, b], [c, d]] of a stack
+    (..., 2, 2), and hypot(a - d, b + c), the half-spread of the eigenvalues
+    of the matrix's symmetric part.  Halving first keeps every sum finite
+    wherever the closed forms built on them are."""
+    h = M / 2.0
+    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+    return a, b, c, d, np.hypot(a - d, b + c)
+
+
 def _measure(M: np.ndarray, kind: str) -> np.ndarray:
-    """Measure of every square matrix in a stack (..., k, k), kind canonical."""
+    """Measure of every square matrix in a stack (..., k, k), kind canonical.
+
+    mu_2 of a 2x2 matrix is the closed form a + d + hypot(a - d, b + c) on
+    its halved entries; larger ones take the top ``eigvalsh`` eigenvalue of
+    S + S^T with S = M / 2, which equals (M + M^T) / 2 whenever the halves
+    are normal numbers and cannot overflow where the measure is finite.
+    """
     if kind == "two":
-        return np.linalg.eigvalsh((M + np.swapaxes(M, -2, -1)) / 2.0)[..., -1]
+        if M.shape[-2:] == (2, 2):
+            a, _, _, d, spread = _halves(M)
+            return a + d + spread
+        S = M / 2.0
+        return np.linalg.eigvalsh(S + np.swapaxes(S, -2, -1))[..., -1]
     d = np.diagonal(M, axis1=-2, axis2=-1)
     sums = np.abs(M).sum(axis=-2 if kind == "one" else -1)
     return np.max(d + sums - np.abs(d), axis=-1)

@@ -7,6 +7,7 @@ import numpy as np
 
 from netcontract.fhn import (DivergedError, EntrainmentReport, fhn_gains, laplacian,
                              scaled_state_norm)
+from netcontract.hierarchy import _norm
 from netcontract.metzler import NoConvergenceError, _measure
 
 
@@ -35,7 +36,8 @@ def reference_rk4(f, x0, t0, t_end, step):
 
 def reference_block_bound_matrix(M, partition):
     """The block bound matrix pair by pair: the scalings applied to the whole
-    stack, then one ``_measure`` or ``np.linalg.norm`` call per block pair."""
+    stack, then one ``_measure`` or ``_norm`` call per block pair.  It checks
+    the grouping; the kernels' accuracy is tested against mpmath."""
     M = np.asarray(M, dtype=float)
     kind = partition.block_norms[0].kind
     t = np.concatenate([np.ones(size) if bn.scaling is None else bn.scaling
@@ -46,9 +48,7 @@ def reference_block_bound_matrix(M, partition):
     B = np.empty(M.shape[:-2] + (m, m))
     for i, j in itertools.product(range(m), repeat=2):
         blk = M[..., sl[i], sl[j]]
-        B[..., i, j] = (_measure(blk, kind) if i == j else
-                        np.linalg.norm(blk, {"one": 1, "two": 2, "inf": np.inf}[kind],
-                                       axis=(-2, -1)))
+        B[..., i, j] = _measure(blk, kind) if i == j else _norm(blk, kind)
     return B
 
 

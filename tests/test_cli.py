@@ -235,6 +235,15 @@ class TestSynthesizeCommand:
         assert_allclose(manifest["result"]["v_star"], [5.5, 11.5, 7.5], atol=1e-9)
         assert_allclose(manifest["result"]["cost"], 24.5, atol=1e-8)
 
+    def test_reducible_bound_names_synthesize_gains(self, capsys, tmp_path):
+        # The message named minimal_effort_stabilize, a call the user never made.
+        mat = tmp_path / "jhat.csv"
+        np.savetxt(mat, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], delimiter=",")
+        code, manifest, err = run(capsys, "synthesize", "--jhat", str(mat), "--rate", "0.1")
+        assert code == 1 and manifest is None
+        assert err.startswith("error: synthesize_gains requires an irreducible Metzler "
+                              "matrix, got completely_reducible")
+
     def test_hypothesis_violation_is_data_error(self, capsys, tmp_path):
         mat = tmp_path / "jhat.csv"
         np.savetxt(mat, [[-1.0, 1.0], [1.0, -1.0]], delimiter=",")

@@ -264,13 +264,13 @@ class TestGroupedBlockBound:
     def test_constant_couplings_bounded_once(self, monkeypatch):
         J, part = _hier_stack(np.random.default_rng(12))
         seen = []
-        norm = np.linalg.norm
+        norm = hierarchy._norm
 
-        def counting_norm(x, *args, **kwargs):
-            seen.append(int(np.prod(np.shape(x)[:-2])))
-            return norm(x, *args, **kwargs)
+        def counting_norm(blk, kind):
+            seen.append(int(np.prod(np.shape(blk)[:-2])))
+            return norm(blk, kind)
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(hierarchy, "_norm", counting_norm)
         block_bound_matrix(J, part)
         # The 56 coupling blocks of 8 neurons in one call, not 56 x 101.
         assert seen == [8 * 7]
@@ -463,6 +463,16 @@ class TestJacobianSupEstimate:
         with pytest.raises(ValueError, match="^domain upper bounds have length"):
             jacobian_sup_estimate(lambda t, x: np.eye(2), BlockPartition.uniform([1, 1]),
                                   ([0.0, 0.0], [1.0]), samples=3)
+
+    def test_domain_dimension_must_match_partition(self):
+        # A 3-D box for a 2-index partition was sampled, and each 3-vector
+        # handed to the sampler.
+        calls = []
+        with pytest.raises(ValueError, match=r"^domain has dimension 3, partition covers 2$"):
+            jacobian_sup_estimate(lambda t, x: calls.append(x) or np.eye(2),
+                                  BlockPartition.uniform([1, 1]), ([0, 0, 0], [1, 1, 1]),
+                                  samples=2)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_t_grid_must_be_finite(self, bad):

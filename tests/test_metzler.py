@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from netcontract.metzler import (
 )
 from netcontract.balancing import balance, imbalance, potential
 from netcontract.fhn import FhnConfig, Trajectory, entrainment_check
-from netcontract.hierarchy import BlockPartition, jacobian_sup_estimate
+from netcontract.hierarchy import BlockPartition, jacobian_sup_estimate, synthesize_gains
 from netcontract.stabilization import (
     marginal_stability_certificate,
     minimal_effort_stabilize,
@@ -237,6 +238,9 @@ class TestKindCheck:
         ("marginal_stability_certificate", marginal_stability_certificate, NonIrreducibleError),
         ("verify_optimality",
          lambda A: verify_optimality(A, TestKindCheck.ONES, -1.0, TestKindCheck.ONES),
+         NonIrreducibleError),
+        # eta = 4 keeps J + eta*I >= 0, so the kind check is what raises.
+        ("synthesize_gains", lambda A: synthesize_gains(A, TestKindCheck.ONES, 4.0),
          NonIrreducibleError)])
     @pytest.mark.parametrize("kind", [COMPLETELY_REDUCIBLE, REDUCIBLE_OTHER])
     def test_rejected_kinds(self, kind, name, call, error):
@@ -523,6 +527,16 @@ class TestMatrixMeasure:
     def test_scaling_rejects_nan_and_inf(self, bad):
         with pytest.raises(ValueError):
             matrix_measure(self.A, "inf", scaling=[bad, 1.0])
+
+    @pytest.mark.parametrize("M", [
+        [[1e308, 1e308], [-1e308, 1e308]],
+        [[1e308, 1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 0.0]]])
+    def test_mu2_near_float_max_stays_finite(self, M):
+        # (M + M^T) / 2 overflowed: nan for the 2x2 matrix, and eigvalsh
+        # raised "Eigenvalues did not converge" for the 3x3 one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert matrix_measure(M, "two") == 1e308
 
     def test_mu2_matches_eigvalsh(self):
         rng = np.random.default_rng(5)
