@@ -32,8 +32,6 @@ from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
 from netcontract.metzler import spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
-FEASIBILITY_TOL = 1e-8
-
 
 class _UsageError(Exception):
     pass
@@ -156,9 +154,8 @@ def _cmd_stabilize(args):
     w = _read_weights(args.weights, M.shape[0])
     res = minimal_effort_stabilize(M, w, args.target, tol=args.tol)
     result = _emit(args, _payload(res))
-    code = 0 if res.feasibility_residual <= FEASIBILITY_TOL else 2
     return ({"input": args.input, "weights": args.weights},
-            {"target": args.target, "tol": args.tol}, result, code)
+            {"target": args.target, "tol": args.tol}, result, 0 if res.feasible else 2)
 
 
 def _parse_partition(args) -> BlockPartition:
@@ -191,9 +188,8 @@ def _cmd_synthesize(args):
     w = _read_weights(args.weights, J.shape[0])
     res = synthesize_gains(J, w, args.rate, tol=args.tol)
     result = _emit(args, _payload(res))
-    ok = abs(res.closed_loop_abscissa + res.rate) <= FEASIBILITY_TOL * (1.0 + res.rate)
     return ({"jhat": args.jhat, "weights": args.weights},
-            {"rate": args.rate, "tol": args.tol}, result, 0 if ok else 2)
+            {"rate": args.rate, "tol": args.tol}, result, 0 if res.feasible else 2)
 
 
 def _cmd_fhn_simulate(args):

@@ -26,7 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from netcontract.metzler import (_as_square, _finite, _finite_entries, _float_array, _integer,
+from netcontract.metzler import (_CERT_SLACK, _FLOOR_SLACK, CertificateCheck, _as_square,
+                                  _check, _finite, _finite_entries, _float_array, _integer,
                                   _measure, _vector)
 
 __all__ = [
@@ -206,7 +207,7 @@ def fhn_gains(L, c: float, gamma: float, eta: float) -> np.ndarray:
     L = _finite_entries(_as_square(L))
     n = L.shape[0]
     floor = _eta_floor(gamma * np.diag(L), c)
-    if eta < floor:
+    if not _check("eta_ge_floor", floor, eta).passed:
         raise ValueError(
             f"eta = {eta:g} violates eta >= gamma * max degree - c = {floor:g}")
     return (c + eta) * np.ones(n) - (gamma / 2.0) * (L.T @ np.ones(n))
@@ -252,13 +253,6 @@ def closed_loop_jacobian(config: FhnConfig, x) -> np.ndarray:
 
 
 @dataclass
-class CertificateCheck:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass
 class ContractionCertificate:
     eta_requested: float
     eta_certified: float
@@ -268,10 +262,6 @@ class ContractionCertificate:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-# Slack for the certificate's floating-point comparisons.
-_CERT_SLACK = 1e-9
 
 
 def certify(config: FhnConfig) -> ContractionCertificate:
@@ -287,10 +277,9 @@ def certify(config: FhnConfig) -> ContractionCertificate:
     mu_scaled = max(float(_measure(config._operator[:n, :n], "two")), -b_over_c)
     floor_gap = _eta_floor(config._gamma_deg, config.c) - eta
     checks = [
-        CertificateCheck("eta_le_b_over_c", eta <= b_over_c + _CERT_SLACK, eta - b_over_c),
-        CertificateCheck("bound_plus_eta_nonneg", floor_gap <= 1e-12, floor_gap),
-        CertificateCheck("scaled_measure_le_minus_eta", mu_scaled <= -eta + _CERT_SLACK,
-                         mu_scaled + eta),
+        _check("eta_le_b_over_c", eta, b_over_c, _CERT_SLACK),
+        _check("bound_plus_eta_nonneg", floor_gap, 0.0, _FLOOR_SLACK),
+        _check("scaled_measure_le_minus_eta", mu_scaled, -eta, _CERT_SLACK),
     ]
     return ContractionCertificate(eta_requested=float(eta),
                                   eta_certified=-mu_scaled,

@@ -23,6 +23,7 @@ from netcontract.metzler import (
     IRREDUCIBLE,
     MetzlerMatrix,
     _as_square,
+    _check,
     _finite,
     _finite_entries,
     _halves,
@@ -124,6 +125,7 @@ class GainSynthesisResult:
     rate: float
     cost: float
     closed_loop_abscissa: float
+    feasible: bool  # the stabilizer's verdict on closed_loop_abscissa against -rate
 
 
 _ORD = {"one": 1, "two": 2, "inf": np.inf}
@@ -318,7 +320,7 @@ def _check_hypothesis(J: np.ndarray, eta) -> float:
     """eta as a float, once it is finite and positive and J + eta*I >= 0."""
     eta = _finite("eta", eta, "positive")
     worst = float(np.min(J + eta * np.eye(J.shape[0])))
-    if worst < 0:
+    if not _check("hypothesis", 0.0, worst).passed:
         raise HypothesisViolatedError(
             f"J_hat + eta*I has a negative entry ({worst:.3g}); the closed form "
             "may produce nonpositive gains, so optimality is not guaranteed")
@@ -338,8 +340,8 @@ def synthesize_gains(j_hat, w, eta: float, tol: float = DEFAULT_TOL) -> GainSynt
     M, cls, off = _metzler_classified(j_hat if isinstance(j_hat, MetzlerMatrix) else J,
                                       "synthesize_gains", IRREDUCIBLE)
     res = _stabilize(M, cls, off, w, -eta, tol, MAX_SWEEPS, None)
-    return GainSynthesisResult(v_star=res.ell_star, rate=eta,
-                               cost=res.cost, closed_loop_abscissa=res.achieved)
+    return GainSynthesisResult(v_star=res.ell_star, rate=eta, cost=res.cost,
+                               closed_loop_abscissa=res.achieved, feasible=res.feasible)
 
 
 def tridiagonal_gains(j_hat, eta: float) -> np.ndarray:

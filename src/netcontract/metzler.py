@@ -42,11 +42,30 @@ class NotBalancableError(NonIrreducibleError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Iteration cap was hit first; ``residual`` holds the last bracket width."""
+    """Iteration cap hit, or the bracket overflowed; ``residual`` holds its last width."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+@dataclass
+class CertificateCheck:
+    name: str
+    passed: bool
+    residual: float
+
+
+# Verdict slacks: certificate checks, FHN eta floor, relative distance to target.
+_CERT_SLACK = 1e-9
+_FLOOR_SLACK = 1e-12
+_FEASIBILITY_SLACK = 1e-8
+
+
+def _check(name: str, value, bound, slack: float = 0.0) -> CertificateCheck:
+    """The one verdict rule of the library: value passes when it is at most
+    bound + slack; the residual value - bound is at most 0 when there is room."""
+    return CertificateCheck(name, bool(value <= bound + slack), value - bound)
 
 
 def _as_square(A) -> np.ndarray:
@@ -312,28 +331,32 @@ def _perron(off: scipy.sparse.csr_array, diag: np.ndarray, tol: float,
     fixed point is the Perron vector, where sigma v = A v.  Every
     denominator is at least delta >= 1, as sigma >= (off v)_i / v_i + c_i
     >= c_i, so v stays positive; the bracket is sound for any v > 0, so the
-    iteration decides only how fast it narrows."""
+    iteration decides only how fast it narrows.  A step whose bracket width
+    is infinite or NaN raises NoConvergenceError, with no RuntimeWarning."""
     tol = _finite("tol", tol, "positive")
     max_iter = _integer("max_iter", max_iter, "positive")
     starts = np.asarray(starts)
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=diag.size))
-    lift = (1.0 + np.maximum.reduceat(np.abs(diag), starts)
-            + np.minimum.reduceat(diag, starts))[seg]
-    v, width = np.ones(diag.size), np.inf
-    for step in range(max_iter):
-        ov = off @ v
-        # No shift added and taken away again: a 1 x 1 block is exact.
-        ratio = ov / v + diag
-        hi, lo = np.maximum.reduceat(ratio, starts), np.minimum.reduceat(ratio, starts)
-        width = float(np.max(hi - lo))
-        if width <= tol:
-            break
-        v = (ov + lift * v) / (hi[seg] - diag + lift)
-        v /= np.maximum.reduceat(v, starts)[seg]
-    else:
-        raise NoConvergenceError(
-            f"Perron iteration did not reach bracket width {tol:g} within {max_iter} "
-            f"iterations (current width {width:.3e})", width)
+    with np.errstate(all="ignore"):  # an overflowing step raises below, unwarned
+        lift = (1.0 + np.maximum.reduceat(np.abs(diag), starts)
+                + np.minimum.reduceat(diag, starts))[seg]
+        v, width = np.ones(diag.size), np.inf
+        for step in range(max_iter):
+            ov = off @ v
+            # No shift added and taken away again: a 1 x 1 block is exact.
+            ratio = ov / v + diag
+            hi, lo = np.maximum.reduceat(ratio, starts), np.minimum.reduceat(ratio, starts)
+            width = float(np.max(hi - lo))
+            if width <= tol:
+                break
+            if not width < np.inf:  # inf or nan
+                raise NoConvergenceError(f"Perron iteration overflowed at step {step}", width)
+            v = (ov + lift * v) / (hi[seg] - diag + lift)
+            v /= np.maximum.reduceat(v, starts)[seg]
+        else:
+            raise NoConvergenceError(
+                f"Perron iteration did not reach bracket width {tol:g} within {max_iter} "
+                f"iterations (current width {width:.3e})", width)
     k = int(np.argmax(hi))
     return PerronPair(float(hi[k]), v[seg == k] / v[starts[k]],
                       (float(lo[k]), float(hi[k])), step)

@@ -30,7 +30,9 @@ from netcontract.metzler import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     IRREDUCIBLE,
+    _FEASIBILITY_SLACK,
     Classification,
+    _check,
     _finite,
     _metzler_classified,
     _perron,
@@ -47,7 +49,8 @@ class StabilizationResult:
     cost: float
     positive_gains: bool
     eigen_residual: float
-    feasibility_residual: float
+    feasibility_residual: float  # |achieved - target| / (1 + |target|)
+    feasible: bool  # feasibility_residual <= 1e-8
     iterations: int  # Newton steps of the one balancing of all blocks
     clamped: bool  # a balancing scaling entry hit SCALING_CLAMP
 
@@ -90,6 +93,7 @@ def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, 
     ell = md / d - target
     cd = md - ell * d
     achieved = float(np.max(cd / d))
+    residual = abs(achieved - target) / (1.0 + abs(target))
     return StabilizationResult(
         ell_star=ell,
         d_star=d,
@@ -98,7 +102,8 @@ def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, 
         cost=float(w @ ell),
         positive_gains=bool(np.all(ell > 0)),
         eigen_residual=float(np.max(np.abs(cd - target * d)) / np.max(d)),
-        feasibility_residual=abs(achieved - target) / (1.0 + abs(target)),
+        feasibility_residual=residual,
+        feasible=_check("feasible", residual, 0.0, _FEASIBILITY_SLACK).passed,
         iterations=iterations,
         clamped=clamped,
     )
@@ -142,7 +147,7 @@ def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabi
     pair = _perron(off, diag, tol, DEFAULT_MAX_ITER)
     d = pair.eigenvector
     slack = off @ d + diag * d
-    if np.all(slack <= 0.0):
+    if _check("certified", np.max(slack), 0.0).passed:
         return MarginalStabilityResult(True, pair.abscissa, d, slack)
     return MarginalStabilityResult(False, pair.abscissa)
 
@@ -169,16 +174,16 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     d = pair.eigenvector
     od = off @ d
     cd = od + diag * d
-    feasible = pair.abscissa <= target + tol * (1.0 + abs(target))
+    scaled_tol = tol * (1.0 + abs(target))
     # Off-diagonal row and column sums of diag(w) D^{-1} C D from two mat-vecs.
     balanced_residual = _imbalance(w * od / d, d * (off.T @ (w / d)))
     eigen_residual = float(np.max(np.abs(cd - target * d)) / np.max(d))
     return OptimalityReport(
-        feasible=bool(feasible),
+        feasible=_check("feasible", pair.abscissa, target, scaled_tol).passed,
         abscissa=pair.abscissa,
-        balanced_ok=bool(balanced_residual <= tol),
+        balanced_ok=_check("balanced", balanced_residual, 0.0, tol).passed,
         balanced_residual=balanced_residual,
-        eigen_ok=bool(eigen_residual <= tol * (1.0 + abs(target))),
+        eigen_ok=_check("eigen", eigen_residual, 0.0, scaled_tol).passed,
         eigen_residual=eigen_residual,
         cost=float(w @ ell),
     )

@@ -17,7 +17,7 @@ from netcontract.hierarchy import BlockPartition, block_bound_matrix
 from netcontract.matrixio import read_matrix
 from netcontract.metzler import spectral_abscissa
 
-from generators import random_irreducible_metzler
+from generators import large_entry_metzler, random_irreducible_metzler
 
 REPO = Path(__file__).resolve().parents[1]
 FHN6 = REPO / "configs" / "fhn6.json"
@@ -167,6 +167,17 @@ class TestStabilizeCommand:
         code, _, err = run(capsys, "stabilize", "--input", str(mat), "--target", "-3")
         assert code == 1 and "error:" in err
 
+    def test_infeasible_run_exits_2(self, capsys, tmp_path):
+        # Entries of order 1e8: the balanced closed loop misses the target by
+        # 4.11e-8 relative to 1 + |target|, beyond the 1e-8 of `feasible`.
+        mat = tmp_path / "big.csv"
+        np.savetxt(mat, large_entry_metzler(), delimiter=",", fmt="%.17g")
+        code, manifest, err = run(capsys, "stabilize", "--input", str(mat), "--target", "-1")
+        assert code == 2 and err == "" and manifest["subcommand"] == "stabilize"
+        res = manifest["result"]
+        assert res["feasible"] is False
+        assert_allclose(res["feasibility_residual"], 4.11e-8, rtol=1e-2)
+
 
 class TestBoundCommand:
     A = np.array([[-3.0, 1.0, 0.5, 0.0],
@@ -249,6 +260,19 @@ class TestSynthesizeCommand:
         np.savetxt(mat, [[-1.0, 1.0], [1.0, -1.0]], delimiter=",")
         code, _, err = run(capsys, "synthesize", "--jhat", str(mat), "--rate", "0.25")
         assert code == 1 and "error:" in err
+
+    def test_infeasible_run_exits_2(self, capsys, tmp_path):
+        # The same 1e8 entries with a zero diagonal, so J_hat + eta*I >= 0:
+        # the closed loop misses -rate by 4.7e-8 relative to 1 + rate.
+        J = large_entry_metzler()
+        np.fill_diagonal(J, 0.0)
+        mat = tmp_path / "jhat.csv"
+        np.savetxt(mat, J, delimiter=",", fmt="%.17g")
+        code, manifest, err = run(capsys, "synthesize", "--jhat", str(mat), "--rate", "1")
+        assert code == 2 and err == "" and manifest["subcommand"] == "synthesize"
+        res = manifest["result"]
+        assert res["feasible"] is False
+        assert abs(res["closed_loop_abscissa"] + 1.0) / 2.0 > 1e-8
 
 
 class TestFhnCommands:
@@ -403,10 +427,10 @@ class TestManifestContract:
     RESULT_KEYS = {
         "balance": {"balanced_output", "clamped", "d", "iterations", "output", "residual"},
         "stabilize": {"achieved", "clamped", "cost", "d_star", "eigen_residual", "ell_star",
-                      "feasibility_residual", "iterations", "output", "positive_gains",
-                      "target"},
+                      "feasibility_residual", "feasible", "iterations", "output",
+                      "positive_gains", "target"},
         "bound": {"abscissa", "b", "imbalance", "output"},
-        "synthesize": {"closed_loop_abscissa", "cost", "output", "rate", "v_star"},
+        "synthesize": {"closed_loop_abscissa", "cost", "feasible", "output", "rate", "v_star"},
         "fhn simulate": {"final_state", "n_neurons", "n_samples", "output", "t_end"},
         "fhn certify": {"checks", "eta_certified", "eta_requested", "mu_scaled", "output",
                         "passed"},

@@ -11,7 +11,6 @@ from pathlib import Path
 from numpy.testing import assert_allclose
 
 from netcontract.fhn import (
-    _CERT_SLACK,
     _CHUNK,
     _check_finite,
     _grid,
@@ -37,7 +36,7 @@ from netcontract.fhn import (
     simulate,
     write_trajectory_csv,
 )
-from netcontract.metzler import matrix_measure
+from netcontract.metzler import _CERT_SLACK, matrix_measure
 from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import random_connected_adjacency

@@ -18,6 +18,7 @@ from netcontract.metzler import (
     REDUCIBLE_OTHER,
     STRUCTURAL_ZERO,
     MetzlerMatrix,
+    NoConvergenceError,
     NonIrreducibleError,
     NotBalancableError,
     classify,
@@ -424,6 +425,23 @@ class TestSpectralAbscissa:
         for _ in range(25):
             A = random_metzler(rng, int(rng.integers(2, 8)))
             assert spectral_abscissa(A) <= matrix_measure(A, "inf") + 1e-12
+
+    def test_float_max_scalar_is_silent(self):
+        # Its lift 1 + 2e308 overflows; the one ratio is exact, so no step runs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_abscissa([[1e308]]) == 1e308
+
+    def test_overflow_raises_at_first_non_finite_width(self):
+        # The row gap 9e307 + 1.1e308 overflows in step 0, so v loses an
+        # entry and step 1's bracket is infinite.  This ran 100,000 NaN steps
+        # with RuntimeWarnings, then raised with width nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match="^Perron iteration overflowed at "
+                                                         "step 1$") as info:
+                spectral_abscissa([[1e308, 1.0], [2.0, 1e307]])
+        assert info.value.residual == np.inf
 
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0, True, np.True_])
