@@ -67,6 +67,5 @@ from netcontract.stabilization import (
     StabilizationResult,
     marginal_stability_certificate,
     minimal_effort_stabilize,
-    stabilize_blocks,
     verify_optimality,
 )

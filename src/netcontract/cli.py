@@ -29,7 +29,7 @@ from netcontract.hierarchy import (
     synthesize_gains,
 )
 from netcontract.matrixio import read_matrix, read_vector, write_matrix_csv
-from netcontract.metzler import spectral_abscissa
+from netcontract.metzler import DEFAULT_TOL, spectral_abscissa
 from netcontract.stabilization import minimal_effort_stabilize
 
 
@@ -48,64 +48,61 @@ def _build_parser() -> _Parser:
                 description="Contraction certificates and minimum-effort gains "
                             "for networked dynamical systems.")
     sub = p.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, each declared once in a parent.
+    output, matrix, config, tol, weights = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    output.add_argument("--output", "--out", dest="output",
+                        help="write the result here (JSON, or CSV for a matrix or trajectory)")
+    matrix.add_argument("--input", required=True, help="matrix file (Matrix Market or CSV)")
+    config.add_argument("--config", required=True, help="network config JSON")
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    weights.add_argument("--weights", help="weight vector file (default: all ones)")
 
-    b = sub.add_parser("balance", help="balance a Metzler matrix by diagonal similarity")
-    b.add_argument("--input", required=True, help="matrix file (Matrix Market or CSV)")
-    b.add_argument("--tol", type=float, default=1e-10)
-    b.add_argument("--output", "--out", dest="output", help="write result JSON here")
+    b = sub.add_parser("balance", parents=[matrix, tol, output],
+                       help="balance a Metzler matrix by diagonal similarity")
     b.add_argument("--balanced-output", dest="balanced_output",
                    help="write the balanced matrix as CSV here")
     b.set_defaults(handler=_cmd_balance)
 
-    s = sub.add_parser("stabilize", help="minimum-effort diagonal stabilization")
-    s.add_argument("--input", required=True, help="matrix file (Matrix Market or CSV)")
-    s.add_argument("--weights", help="weight vector file (default: all ones)")
+    s = sub.add_parser("stabilize", parents=[matrix, weights, tol, output],
+                       help="minimum-effort diagonal stabilization")
     s.add_argument("--target", type=float, required=True,
                    help="target spectral abscissa of the closed loop")
-    s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--output", "--out", dest="output", help="write result JSON here")
     s.set_defaults(handler=_cmd_stabilize)
 
-    bd = sub.add_parser("bound", help="block-reduced Metzler bound of a matrix")
-    bd.add_argument("--input", required=True, help="matrix file (Matrix Market or CSV)")
+    bd = sub.add_parser("bound", parents=[matrix, output],
+                        help="block-reduced Metzler bound of a matrix")
     bd.add_argument("--partition", required=True,
                     help="comma-separated block sizes, e.g. 2,2,3")
     bd.add_argument("--norms",
                     help="comma-separated per-block norms from {1,2,inf} "
                          "(default: all 2)")
-    bd.add_argument("--output", "--out", dest="output",
-                    help="write the bound matrix as CSV here")
     bd.set_defaults(handler=_cmd_bound)
 
-    sy = sub.add_parser("synthesize", help="gains for a reduced Jacobian bound")
+    sy = sub.add_parser("synthesize", parents=[weights, tol, output],
+                        help="gains for a reduced Jacobian bound")
     sy.add_argument("--jhat", required=True,
                     help="bound matrix file (Matrix Market or CSV)")
-    sy.add_argument("--weights", help="weight vector file (default: all ones)")
     sy.add_argument("--rate", type=float, required=True,
                     help="required contraction rate eta > 0")
-    sy.add_argument("--tol", type=float, default=1e-10)
-    sy.add_argument("--output", "--out", dest="output", help="write result JSON here")
     sy.set_defaults(handler=_cmd_synthesize)
 
     f = sub.add_parser("fhn", help="FitzHugh-Nagumo network experiments")
     fsub = f.add_subparsers(dest="fhn_command", required=True)
 
-    fs = fsub.add_parser("simulate", help="integrate the closed-loop network")
-    fs.add_argument("--config", required=True, help="network config JSON")
-    fs.add_argument("--output", "--out", dest="output", help="write trajectory CSV here")
+    fs = fsub.add_parser("simulate", parents=[config, output],
+                         help="integrate the closed-loop network")
     fs.add_argument("--seed", type=int, help="override the config seed")
     fs.add_argument("--t-end", type=float, dest="t_end", help="override the horizon")
     fs.add_argument("--step", type=float, help="override the integration step")
     fs.set_defaults(handler=_cmd_fhn_simulate)
 
-    fc = fsub.add_parser("certify", help="check the contraction certificate")
-    fc.add_argument("--config", required=True, help="network config JSON")
-    fc.add_argument("--output", "--out", dest="output", help="write certificate JSON here")
+    fc = fsub.add_parser("certify", parents=[config, output],
+                         help="check the contraction certificate")
     fc.set_defaults(handler=_cmd_fhn_certify)
 
-    fg = fsub.add_parser("gains", help="minimum-effort gains for the config's rate")
-    fg.add_argument("--config", required=True, help="network config JSON")
-    fg.add_argument("--output", "--out", dest="output", help="write gains JSON here")
+    fg = fsub.add_parser("gains", parents=[config, output],
+                         help="minimum-effort gains for the config's rate")
     fg.set_defaults(handler=_cmd_fhn_gains)
     return p
 
@@ -246,8 +243,7 @@ def dispatch(argv) -> int:
     start = time.perf_counter()
     try:
         inputs, params, result, code = args.handler(args)
-    except (ValueError, RuntimeError, OSError, KeyError, MemoryError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, KeyError, MemoryError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         print(f"error: {detail}", file=sys.stderr)
         return 1

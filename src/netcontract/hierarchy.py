@@ -20,7 +20,6 @@ import numpy as np
 from netcontract.balancing import MAX_SWEEPS, _tridiagonal_bands
 from netcontract.metzler import (
     DEFAULT_TOL,
-    IRREDUCIBLE,
     MetzlerMatrix,
     _as_square,
     _check,
@@ -29,7 +28,6 @@ from netcontract.metzler import (
     _halves,
     _integer,
     _measure,
-    _metzler_classified,
     _vector,
     norm_kind,
 )
@@ -239,9 +237,9 @@ def composite_norm(x, partition: BlockPartition, weights=None) -> np.ndarray:
     state entry raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != partition.total:
+    if x.ndim == 0 or x.shape[-1] != partition.total:
         raise ValueError(
-            f"state has dimension {x.shape[-1]}, partition covers {partition.total}")
+            f"state has shape {x.shape}, partition covers {partition.total}")
     if not np.isfinite(x).all():
         raise ValueError("state has non-finite entries")
     m = len(partition.sizes)
@@ -330,16 +328,15 @@ def _check_hypothesis(J: np.ndarray, eta) -> float:
 def synthesize_gains(j_hat, w, eta: float, tol: float = DEFAULT_TOL) -> GainSynthesisResult:
     """Cheapest per-block gains making the reduced bound contract at rate eta.
 
-    Requires J_hat irreducible Metzler and J_hat + eta*I >= 0 elementwise
-    (ensuring the gains come out positive); runs the minimum-effort
-    stabilizer's core with target -eta, so a bound of another kind raises
-    NonIrreducibleError naming synthesize_gains.
+    Requires J_hat + eta*I >= 0 elementwise (ensuring the gains come out
+    positive) and J_hat irreducible or completely reducible Metzler; runs the
+    minimum-effort stabilizer's core with target -eta, so a bound of another
+    kind raises NotBalancableError naming synthesize_gains.
     """
     J = _unwrap(j_hat)
     eta = _check_hypothesis(J, eta)
-    M, cls, off = _metzler_classified(j_hat if isinstance(j_hat, MetzlerMatrix) else J,
-                                      "synthesize_gains", IRREDUCIBLE)
-    res = _stabilize(M, cls, off, w, -eta, tol, MAX_SWEEPS, None)
+    res = _stabilize(j_hat if isinstance(j_hat, MetzlerMatrix) else J, "synthesize_gains",
+                     w, -eta, tol, MAX_SWEEPS, None)
     return GainSynthesisResult(v_star=res.ell_star, rate=eta, cost=res.cost,
                                closed_loop_abscissa=res.achieved, feasible=res.feasible)
 

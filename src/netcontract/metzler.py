@@ -292,7 +292,8 @@ def _metzler_classified(A, caller: str = "", *kinds: str) -> tuple:
             raise ValueError("not a Metzler matrix: negative off-diagonal entry")
     if kinds and cls.kind not in kinds:
         accepted = " or ".join(kind.replace("_", " ") for kind in kinds)
-        hint = ("; spectral_abscissa, balance and stabilize_blocks take it"
+        hint = ("; spectral_abscissa, balance, minimal_effort_stabilize and "
+                "synthesize_gains take it"
                 if cls.kind == COMPLETELY_REDUCIBLE else "")
         error = NotBalancableError if COMPLETELY_REDUCIBLE in kinds else NonIrreducibleError
         raise error(f"{caller} requires an {accepted} Metzler matrix, got {cls.kind}{hint}")

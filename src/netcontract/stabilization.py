@@ -1,4 +1,4 @@
-"""Minimum-effort diagonal stabilization of irreducible Metzler matrices.
+"""Minimum-effort diagonal stabilization of Metzler matrices.
 
 For weights w > 0 and a target abscissa, the cheapest diagonal perturbation
 (minimizing w^T ell subject to alpha(A - diag(ell)) <= target) is read off a
@@ -6,9 +6,10 @@ balancing of diag(w) A: with D the balancing scaling, ell* = D^{-1} A D 1 -
 target 1, and D 1 is a Perron eigenvector of the closed loop, which therefore
 sits exactly on the target.  The reported abscissa is the Collatz-Wielandt
 bound alpha(C) <= max_i (C d)_i / d_i, valid for every Metzler C and d > 0,
-so the closed loop is never solved again.  Also provides the
-marginal-stability certificate (a positive d with A d <= 0) and an
-a-posteriori optimality checker.
+so the closed loop is never solved again.  A completely reducible matrix is
+balanced block by block, every block driven to the same target.  Also
+provides the marginal-stability certificate (a positive d with A d <= 0)
+and an a-posteriori optimality checker.
 
 Each public call builds the off-diagonal part of its matrix once, as a CSR
 array of about two words per nonzero, and no n x n array after that: the
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from netcontract.balancing import MAX_SWEEPS, _balance, _imbalance
 from netcontract.metzler import (
@@ -31,7 +31,6 @@ from netcontract.metzler import (
     DEFAULT_TOL,
     IRREDUCIBLE,
     _FEASIBILITY_SLACK,
-    Classification,
     _check,
     _finite,
     _metzler_classified,
@@ -78,11 +77,11 @@ class OptimalityReport:
         return self.feasible and self.balanced_ok and self.eigen_ok
 
 
-def _stabilize(M: np.ndarray, cls: Classification, off: scipy.sparse.csr_array, w,
-               target: float, tol: float, max_sweeps: int, d0) -> StabilizationResult:
-    """Gains from the balancing of diag(w) M, for validated irreducible or
-    completely reducible M with off-diagonal CSR ``off``; every block is
-    driven to the same target."""
+def _stabilize(A, caller: str, w, target: float, tol: float, max_sweeps: int,
+               d0) -> StabilizationResult:
+    """The gains of minimal_effort_stabilize and synthesize_gains, behind the
+    one kind check of both, which names ``caller``."""
+    M, cls, off = _metzler_classified(A, caller, IRREDUCIBLE, COMPLETELY_REDUCIBLE)
     w = _vector("w", w, M.shape[0], "positive")
     target = _finite("target", target)
     # diag(w) off: each stored entry scaled by its row's weight.
@@ -114,24 +113,13 @@ def minimal_effort_stabilize(A, w, target: float, tol: float = DEFAULT_TOL,
     """Cheapest diagonal gains driving the abscissa of A - diag(ell) to target.
 
     The target may exceed alpha(A), in which case some gains are negative.
-    Raises NonIrreducibleError for non-irreducible input; completely reducible
-    matrices decompose into independent per-block problems (stabilize_blocks).
+    Takes irreducible or completely reducible A; a completely reducible A
+    splits into independent per-block problems, each driven to the target,
+    so the concatenated d remains a Perron eigenvector of the block-diagonal
+    closed loop.  Other reducible input raises NotBalancableError, as in
+    ``balance``.
     """
-    M, cls, off = _metzler_classified(A, "minimal_effort_stabilize", IRREDUCIBLE)
-    return _stabilize(M, cls, off, w, target, tol, max_sweeps, d0)
-
-
-def stabilize_blocks(A, w, target: float, tol: float = DEFAULT_TOL,
-                     max_sweeps: int = MAX_SWEEPS) -> StabilizationResult:
-    """minimal_effort_stabilize applied per irreducible diagonal block.
-
-    Accepts irreducible or completely reducible input; every block is driven
-    to the same target, so the concatenated d remains a Perron eigenvector of
-    the block-diagonal closed loop.  Other reducible input raises
-    NotBalancableError, as in ``balance``.
-    """
-    M, cls, off = _metzler_classified(A, "stabilize_blocks", IRREDUCIBLE, COMPLETELY_REDUCIBLE)
-    return _stabilize(M, cls, off, w, target, tol, max_sweeps, None)
+    return _stabilize(A, "minimal_effort_stabilize", w, target, tol, max_sweeps, d0)
 
 
 def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabilityResult:
@@ -141,6 +129,8 @@ def marginal_stability_certificate(A, tol: float = DEFAULT_TOL) -> MarginalStabi
     eigenvector (iterated to bracket width ``tol``) is such a d whenever one
     exists.  Only a d with A d <= 0 in every entry is certified; the reported
     abscissa is the Perron bracket's upper end max_i (A d)_i / d_i >= alpha(A).
+    Irreducible input only: a completely reducible A has one Perron vector
+    per block, so other kinds raise NonIrreducibleError.
     """
     M, cls, off = _metzler_classified(A, "marginal_stability_certificate", IRREDUCIBLE)
     diag = np.diag(M)
@@ -160,6 +150,8 @@ def verify_optimality(A, w, target: float, ell, tol: float = 1e-8) -> Optimality
     balanced, and (ii) d achieves the target abscissa exactly.  Both residuals
     are reported; `optimal` requires feasibility plus both conditions.
     Feasibility is judged on ``abscissa``, the Perron bracket's upper end.
+    Irreducible input only: a completely reducible A has one Perron vector
+    per block, so other kinds raise NonIrreducibleError.
     """
     M, cls, off = _metzler_classified(A, "verify_optimality", IRREDUCIBLE)
     n = M.shape[0]

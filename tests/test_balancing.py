@@ -15,7 +15,7 @@ from netcontract.balancing import (
     potential,
 )
 from netcontract.metzler import IRREDUCIBLE, Classification, _off_diagonal, classify
-from netcontract.stabilization import stabilize_blocks
+from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import (
     grid_metzler,
@@ -220,7 +220,7 @@ class TestProductPaths:
     def _solve(monkeypatch, A, threshold):
         monkeypatch.setattr(netcontract.balancing, "_CSR_MIN_ENTRIES", threshold)
         w = np.random.default_rng(16).uniform(0.5, 2.0, A.shape[0])
-        return balance(A, tol=1e-10), stabilize_blocks(A, w, -1.0, tol=1e-10)
+        return balance(A, tol=1e-10), minimal_effort_stabilize(A, w, -1.0, tol=1e-10)
 
     @pytest.mark.parametrize("name", PINNED_INPUTS)
     def test_paths_agree(self, monkeypatch, name):

@@ -163,9 +163,20 @@ class TestStabilizeCommand:
 
     def test_reducible_input_rejected(self, capsys, tmp_path):
         mat = tmp_path / "red.csv"
+        np.savetxt(mat, [[1.0, 1.0], [0.0, 1.0]], delimiter=",")
+        code, manifest, err = run(capsys, "stabilize", "--input", str(mat), "--target", "-3")
+        assert code == 1 and manifest is None
+        assert err.startswith("error: minimal_effort_stabilize requires an irreducible or "
+                              "completely reducible Metzler matrix, got reducible_other")
+
+    def test_block_diagonal_input(self, capsys, tmp_path):
+        # Each 1 x 1 block is driven to the target on its own.
+        mat = tmp_path / "blocks.csv"
         np.savetxt(mat, [[-1.0, 0.0], [0.0, -2.0]], delimiter=",")
-        code, _, err = run(capsys, "stabilize", "--input", str(mat), "--target", "-3")
-        assert code == 1 and "error:" in err
+        code, manifest, err = run(capsys, "stabilize", "--input", str(mat), "--target", "-3")
+        assert code == 0 and err == ""
+        assert manifest["result"]["ell_star"] == [2.0, 1.0]
+        assert manifest["result"]["feasible"] is True
 
     def test_infeasible_run_exits_2(self, capsys, tmp_path):
         # Entries of order 1e8: the balanced closed loop misses the target by
@@ -199,8 +210,9 @@ class TestBoundCommand:
         assert_allclose(manifest["result"]["abscissa"], spectral_abscissa(B), atol=1e-12)
 
     def test_bound_classified_once(self, capsys, tmp_path, monkeypatch):
-        # The CLI builds one MetzlerMatrix, which classifies from its cached
-        # off-diagonal CSR through the private _classify.
+        # `bound` hands B to spectral_abscissa, which builds the off-diagonal
+        # CSR once and classifies from it through the private _classify;
+        # imbalance does neither.
         seen = []
         classify = netcontract.metzler._classify
 
@@ -249,11 +261,20 @@ class TestSynthesizeCommand:
     def test_reducible_bound_names_synthesize_gains(self, capsys, tmp_path):
         # The message named minimal_effort_stabilize, a call the user never made.
         mat = tmp_path / "jhat.csv"
+        np.savetxt(mat, [[1.0, 1.0], [0.0, 1.0]], delimiter=",")
+        code, manifest, err = run(capsys, "synthesize", "--jhat", str(mat), "--rate", "0.5")
+        assert code == 1 and manifest is None
+        assert err.startswith("error: synthesize_gains requires an irreducible or completely "
+                              "reducible Metzler matrix, got reducible_other")
+        assert err.count("\n") == 1
+
+    def test_block_diagonal_bound(self, capsys, tmp_path):
+        mat = tmp_path / "jhat.csv"
         np.savetxt(mat, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], delimiter=",")
         code, manifest, err = run(capsys, "synthesize", "--jhat", str(mat), "--rate", "0.1")
-        assert code == 1 and manifest is None
-        assert err.startswith("error: synthesize_gains requires an irreducible Metzler "
-                              "matrix, got completely_reducible")
+        assert code == 0 and err == ""
+        assert_allclose(manifest["result"]["v_star"], [1.1, 1.1, 0.1], atol=1e-12)
+        assert manifest["result"]["feasible"] is True
 
     def test_hypothesis_violation_is_data_error(self, capsys, tmp_path):
         mat = tmp_path / "jhat.csv"

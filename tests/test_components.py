@@ -18,7 +18,7 @@ from netcontract.metzler import (
     perron_pair,
     spectral_abscissa,
 )
-from netcontract.stabilization import minimal_effort_stabilize, stabilize_blocks
+from netcontract.stabilization import minimal_effort_stabilize
 
 from generators import grid_metzler, random_irreducible_metzler, weighted_ring_metzler
 from reference import reference_perron
@@ -109,7 +109,7 @@ class TestJointIterationOracle:
         if cls.kind != COMPLETELY_REDUCIBLE:
             return
         w = np.random.default_rng(A.shape[0]).uniform(0.5, 2.0, A.shape[0])
-        res = stabilize_blocks(A, w, TARGET)
+        res = minimal_effort_stabilize(A, w, TARGET)
         closed = A - np.diag(res.ell_star)
         for b in map(list, cls.blocks):
             d = res.d_star[b]
@@ -152,7 +152,7 @@ class TestOneIterationPerCall:
         irreducible = random_irreducible_metzler(np.random.default_rng(8), 8)
         for call in (lambda: balance(blocks), lambda: balance(irreducible),
                      lambda: balance([[3.0]]),
-                     lambda: stabilize_blocks(blocks, np.ones(2000), TARGET)):
+                     lambda: minimal_effort_stabilize(blocks, np.ones(2000), TARGET)):
             calls.clear()
             call()
             assert len(calls) == 1
@@ -165,7 +165,7 @@ class TestOneByOne:
         assert spectral_abscissa(A) == 2.5
         res = balance(A)
         assert_allclose(res.d, [1.0, 1.0, 2.0, 1.0], rtol=1e-9)
-        gains = stabilize_blocks(A, np.ones(4), TARGET)
+        gains = minimal_effort_stabilize(A, np.ones(4), TARGET)
         assert_allclose(gains.ell_star[[0, 3]], [-3.0, 3.5])
 
 

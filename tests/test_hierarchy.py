@@ -330,6 +330,13 @@ class TestCompositeNorm:
         x = np.ones((3, 7, 3))
         assert composite_norm(x, part).shape == (3, 7)
 
+    @pytest.mark.parametrize("x", [1.0, np.ones(2), np.ones((3, 2))])
+    def test_state_dimension_checked(self, x):
+        # A 0-d state raised IndexError from reading its last axis.
+        part = BlockPartition.uniform([1])
+        with pytest.raises(ValueError, match=r"^state has shape .*, partition covers 1$"):
+            composite_norm(x, part)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_state_must_be_finite(self, bad):
         # NaN came out as the norm.

@@ -33,7 +33,6 @@ from netcontract.hierarchy import BlockPartition, jacobian_sup_estimate, synthes
 from netcontract.stabilization import (
     marginal_stability_certificate,
     minimal_effort_stabilize,
-    stabilize_blocks,
     verify_optimality,
 )
 
@@ -233,16 +232,14 @@ class TestKindCheck:
         ("perron_pair", perron_pair, NonIrreducibleError),
         ("balance", balance, NotBalancableError),
         ("minimal_effort_stabilize",
-         lambda A: minimal_effort_stabilize(A, TestKindCheck.ONES, -1.0), NonIrreducibleError),
-        ("stabilize_blocks",
-         lambda A: stabilize_blocks(A, TestKindCheck.ONES, -1.0), NotBalancableError),
+         lambda A: minimal_effort_stabilize(A, TestKindCheck.ONES, -1.0), NotBalancableError),
         ("marginal_stability_certificate", marginal_stability_certificate, NonIrreducibleError),
         ("verify_optimality",
          lambda A: verify_optimality(A, TestKindCheck.ONES, -1.0, TestKindCheck.ONES),
          NonIrreducibleError),
         # eta = 4 keeps J + eta*I >= 0, so the kind check is what raises.
         ("synthesize_gains", lambda A: synthesize_gains(A, TestKindCheck.ONES, 4.0),
-         NonIrreducibleError)])
+         NotBalancableError)])
     @pytest.mark.parametrize("kind", [COMPLETELY_REDUCIBLE, REDUCIBLE_OTHER])
     def test_rejected_kinds(self, kind, name, call, error):
         A = self.KINDS[kind]
@@ -255,6 +252,9 @@ class TestKindCheck:
         assert type(info.value) is error
         assert str(info.value).startswith(f"{name} requires an ")
         assert kind in str(info.value)
+        if kind == COMPLETELY_REDUCIBLE:
+            assert str(info.value).endswith("; spectral_abscissa, balance, "
+                                            "minimal_effort_stabilize and synthesize_gains take it")
 
     def test_not_balancable_is_non_irreducible(self):
         assert issubclass(NotBalancableError, NonIrreducibleError)

@@ -11,6 +11,7 @@ from netcontract.hierarchy import synthesize_gains
 from netcontract.metzler import (
     MetzlerMatrix,
     NonIrreducibleError,
+    NotBalancableError,
     classify,
     perron_pair,
     spectral_abscissa,
@@ -18,7 +19,6 @@ from netcontract.metzler import (
 from netcontract.stabilization import (
     marginal_stability_certificate,
     minimal_effort_stabilize,
-    stabilize_blocks,
     verify_optimality,
 )
 
@@ -160,8 +160,10 @@ class TestOptimality:
 
 class TestValidationAndBlocks:
     def test_requires_irreducible_with_hint(self):
-        with pytest.raises(NonIrreducibleError, match="stabilize_blocks"):
-            minimal_effort_stabilize(np.eye(3), np.ones(3), -1.0)
+        # Only reducible input other than completely reducible is refused.
+        with pytest.raises(NotBalancableError, match="^minimal_effort_stabilize requires an "
+                                                     "irreducible or completely reducible"):
+            minimal_effort_stabilize([[0.0, 1.0], [0.0, 0.0]], np.ones(2), -1.0)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -179,7 +181,7 @@ class TestValidationAndBlocks:
         A[:2, :2] = FLOW
         A[2:, 2:] = [[0.0, 2.0], [8.0, 0.0]]
         w = np.array([1.0, 4.0, 1.0, 1.0])
-        res = stabilize_blocks(A, w, -1.0)
+        res = minimal_effort_stabilize(A, w, -1.0)
         top = minimal_effort_stabilize(FLOW, [1.0, 4.0], -1.0)
         bottom = minimal_effort_stabilize([[0.0, 2.0], [8.0, 0.0]], [1.0, 1.0], -1.0)
         assert_allclose(res.ell_star, np.concatenate([top.ell_star, bottom.ell_star]),
@@ -189,8 +191,22 @@ class TestValidationAndBlocks:
         assert np.max(np.abs(closed @ res.d_star + res.d_star)) <= 1e-8
 
     def test_blocks_rejects_reducible_other(self):
-        with pytest.raises(NonIrreducibleError):
-            stabilize_blocks([[0.0, 1.0], [0.0, 0.0]], np.ones(2), -1.0)
+        # Two irreducible blocks, the second feeding the first but not back.
+        A = np.zeros((4, 4))
+        A[:2, :2] = FLOW
+        A[2:, 2:] = FLOW
+        A[0, 2] = 1.0
+        with pytest.raises(NonIrreducibleError, match="got reducible_other$"):
+            minimal_effort_stabilize(A, np.ones(4), -1.0)
+
+    def test_blocks_independent_of_init(self):
+        A = np.zeros((4, 4))
+        A[:2, :2] = FLOW
+        A[2:, 2:] = [[0.0, 2.0], [8.0, 0.0]]
+        w = np.array([1.0, 4.0, 1.0, 1.0])
+        r1 = minimal_effort_stabilize(A, w, -1.0)
+        r2 = minimal_effort_stabilize(A, w, -1.0, d0=[3.0, 0.2, 5.0, 0.5])
+        assert_allclose(r1.ell_star, r2.ell_star, rtol=1e-7, atol=1e-9)
 
     def test_scalar(self):
         res = minimal_effort_stabilize([[2.0]], [3.0], -1.0)
@@ -313,7 +329,7 @@ def entry_point_cases():
     ell = minimal_effort_stabilize(A, w, -1.0).ell_star
     return [
         (A, lambda M: minimal_effort_stabilize(M, w, -1.0)),
-        (blocks, lambda M: stabilize_blocks(M, np.ones(4), -1.0)),
+        (blocks, lambda M: minimal_effort_stabilize(M, np.ones(4), -1.0)),
         (A, lambda M: verify_optimality(M, w, -1.0, ell)),
         (A, lambda M: marginal_stability_certificate(M)),
         (other, lambda M: spectral_abscissa(M)),
@@ -352,10 +368,9 @@ class TestNonFiniteNumbers:
     iteration starts."""
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("call", [minimal_effort_stabilize, stabilize_blocks])
-    def test_stabilize_target(self, call, target):
+    def test_stabilize_target(self, target):
         with pytest.raises(ValueError, match="target must be"):
-            call(FLOW, [1.0, 4.0], target)
+            minimal_effort_stabilize(FLOW, [1.0, 4.0], target)
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
     def test_verify_optimality_target(self, target):
